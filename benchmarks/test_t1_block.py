@@ -4,7 +4,7 @@ ISSUE 10's amortisation claim, measured: a batch of ``k`` compatible
 protected solves served as ONE blocked CG (per-iteration verification,
 kernel dispatch and engine bookkeeping paid once for the whole block)
 against the same batch served as ``k`` sequential single-RHS solves
-(``REPRO_BLOCK_SOLVE=0`` — the ablation CI also runs for correctness).
+(an explicit loop of solo ``repro.solve`` calls, one per column).
 
 The matrix is deliberately a quarter of the headline ``BENCH_N`` grid:
 the blocked path's win is the fixed per-iteration cost, so the
@@ -19,8 +19,6 @@ committed ``BENCH_t1.json`` baseline at 20 %.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -48,6 +46,12 @@ def _protection():
     return ProtectionConfig.deferred(window=16)
 
 
+def _sequential(A, B, **kwargs):
+    """The baseline: every column of ``B`` as its own solo solve."""
+    return [solve(A, B[:, j], eps=1e-12, max_iters=MAX_ITERS, **kwargs)
+            for j in range(B.shape[1])]
+
+
 def _bench(benchmark, run, label: str):
     benchmark.group = "t1-block"
     benchmark.pedantic(run, iterations=1, rounds=5, warmup_rounds=1)
@@ -73,13 +77,10 @@ def test_block_protected_k4_blocked(benchmark):
            "protected-k4-blocked")
 
 
-def test_block_protected_k4_sequential(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_BLOCK_SOLVE", "0")
+def test_block_protected_k4_sequential(benchmark):
     A = _matrix()
     B = _rhs(4)
-    _bench(benchmark,
-           lambda: solve(A, B, protection=_protection(),
-                         eps=1e-12, max_iters=MAX_ITERS),
+    _bench(benchmark, lambda: _sequential(A, B, protection=_protection()),
            "protected-k4-sequential")
 
 
@@ -92,13 +93,10 @@ def test_block_protected_k16_blocked(benchmark):
            "protected-k16-blocked")
 
 
-def test_block_protected_k16_sequential(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_BLOCK_SOLVE", "0")
+def test_block_protected_k16_sequential(benchmark):
     A = _matrix()
     B = _rhs(16)
-    _bench(benchmark,
-           lambda: solve(A, B, protection=_protection(),
-                         eps=1e-12, max_iters=MAX_ITERS),
+    _bench(benchmark, lambda: _sequential(A, B, protection=_protection()),
            "protected-k16-sequential")
 
 
@@ -110,13 +108,10 @@ def test_block_plain_k16_blocked(benchmark):
            "plain-k16-blocked")
 
 
-def test_block_plain_k16_sequential(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_BLOCK_SOLVE", "0")
+def test_block_plain_k16_sequential(benchmark):
     A = _matrix()
     B = _rhs(16)
-    _bench(benchmark,
-           lambda: solve(A, B, eps=1e-12, max_iters=MAX_ITERS),
-           "plain-k16-sequential")
+    _bench(benchmark, lambda: _sequential(A, B), "plain-k16-sequential")
 
 
 def test_block_report(benchmark):
@@ -136,7 +131,7 @@ def test_block_report(benchmark):
     lines = [
         f"T1 block: blocked multi-RHS amortisation "
         f"(grid {BLOCK_GRID}, n={BLOCK_GRID ** 2}, {MAX_ITERS} CG iters, "
-        f"deferred window 16, REPRO_BLOCK_SOLVE ablation for sequential)",
+        f"deferred window 16, sequential = k solo solves)",
         f"  protected single solve      : {single * 1e3:8.2f} ms",
     ]
     for k in (4, 16):
@@ -161,4 +156,3 @@ def test_block_report(benchmark):
     assert _results["protected-k16-blocked"] < _results["protected-k16-sequential"], (
         "blocked k=16 protected solve should beat 16 sequential solves"
     )
-    assert os.environ.get("REPRO_BLOCK_SOLVE", "1") != "0"

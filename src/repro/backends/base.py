@@ -42,9 +42,8 @@ class SyndromeScratch:
         self.pc16 = np.empty(self.chunk, dtype=np.uint16)
         self.syn = np.empty(self.chunk, dtype=np.uint16)
         # Fused verify-in-SpMV scratch: the widened colidx lane under
-        # syndrome/decode and the gathered x values for one chunk.
+        # syndrome/decode for one chunk.
         self.lane = np.empty(self.chunk, dtype=np.uint64)
-        self.gather = np.empty(self.chunk, dtype=np.float64)
         # Aggregate-screen scratch: the grid row/column XOR aggregates of
         # one chunk (see numpy_fused's clean-path screen).  Sized for a
         # chunk reduced over 32 columns plus the tail, at up to 8 lanes.
@@ -56,8 +55,9 @@ class KernelBackend:
 
     SECDED kernels receive the bound :class:`SECDEDCode` (for its masks,
     slots and persistent scratch) plus an ``(N, L)`` uint64 lane array.
-    The SpMV kernel mirrors :func:`repro.csr.spmv.spmv` and must accept
-    pre-converted ``int64`` index arrays without copying them.
+    The SpMV kernel mirrors :func:`repro.csr.spmv.spmv` — any operand
+    rank — and must accept pre-converted ``int64`` index arrays without
+    copying them.
     """
 
     #: Registry name; concrete backends override.
@@ -70,13 +70,6 @@ class KernelBackend:
     #: single-pass verify-in-SpMV primitive.  Backends without it still
     #: work — the protected matrices fall back to check-then-multiply.
     supports_fused_verify = False
-
-    #: True when the backend implements :meth:`fused_gather_verify_multi`
-    #: (and :meth:`spmm`), the blocked multi-RHS variants that verify
-    #: each codeword chunk once per ``k`` products.  Backends without
-    #: them still serve blocked solves — the protected matrices fall
-    #: back to check-then-multiply over the whole block.
-    supports_fused_verify_multi = False
 
     def syndrome_into(self, code, lanes, syn, parity) -> None:
         """Fill ``syn`` (uint16) and ``parity`` (uint8) per codeword."""
@@ -99,47 +92,22 @@ class KernelBackend:
         self, values, colidx, rowptr, x, n_rows,
         out=None, products=None, gather=None, lengths=None,
     ):
-        """General CSR matrix-vector product (see :func:`repro.csr.spmv.spmv`).
+        """General CSR product (see :func:`repro.csr.spmv.spmv`).
 
-        ``products``/``gather``/``lengths`` are optional caller-owned
-        scratch buffers (nnz-sized float64 / chunk-sized float64 /
-        n_rows-sized int64); backends that gather or reduce through
-        temporaries use them to keep the inner loop allocation-free.
-        Compiled backends whose loops are scalar may ignore them.
-        """
-        raise NotImplementedError
-
-    def spmm(
-        self, values, colidx, rowptr, X, n_rows,
-        out=None, products=None, tile=None, lengths=None,
-    ):
-        """Blocked CSR product over a ``(k, n_cols)`` RHS block.
-
-        Mirrors :func:`repro.csr.spmv.spmm`: one right-hand side per row
-        of ``X``, result ``(k, n_rows)``.  ``products`` (``(k, nnz)``
-        float64), ``tile`` (flat ``k * chunk`` float64) and ``lengths``
-        (n_rows int64) are optional caller-owned scratch; row ``j`` of
-        the result must be bitwise identical to :meth:`spmv` on
-        ``X[j]``.
-        """
-        raise NotImplementedError
-
-    def fused_gather_verify_multi(
-        self, code, values, colidx, X, index_mask, n_cols, col64, products, tile
-    ):
-        """Blocked :meth:`fused_gather_verify`: one screen per chunk, k gathers.
-
-        Identical syndrome screen, decode and bounds check as the
-        single-RHS primitive, but each clean chunk gathers all ``k``
-        rows of ``X`` through a contiguous ``(k, chunk)`` view of the
-        flat ``tile`` scratch into ``products[:, lo:hi]`` — the SECDED
-        verification cost is paid once and amortized over ``k``
-        products.  Returns the same ``[lo, hi)`` dirty-window list.
+        ``x`` is ``(..., n_cols)`` — a vector, or a block with one
+        right-hand side per row — and the result ``(..., n_rows)``; row
+        ``j`` of a blocked result must be bitwise identical to the 1-D
+        call on ``x[j]``.  ``products``/``gather``/``lengths`` are
+        optional caller-owned scratch buffers (``(..., nnz)`` float64 /
+        flat float64, one chunk per leading element / n_rows-sized
+        int64); backends that gather or reduce through temporaries use
+        them to keep the inner loop allocation-free.  Compiled backends
+        whose loops are scalar may ignore them.
         """
         raise NotImplementedError
 
     def fused_gather_verify(
-        self, code, values, colidx, x, index_mask, n_cols, col64, products
+        self, code, values, colidx, x, index_mask, n_cols, col64, products, gather
     ):
         """Verify one-element codewords while gathering the SpMV operands.
 
@@ -147,8 +115,12 @@ class KernelBackend:
         ``(values, colidx)`` lane pair, compute the SECDED syndrome,
         decode the column index (``colidx & index_mask``), bounds-check
         it against ``n_cols``, gather ``x`` through it and multiply —
-        filling ``col64[:nnz]`` and ``products[:nnz]`` in the same pass
-        that screens the codewords.  Chunks containing a nonzero
+        filling ``col64[:nnz]`` and ``products[..., :nnz]`` in the same
+        pass that screens the codewords.  ``x`` is ``(..., n_cols)``:
+        each chunk is screened **once** and its decoded indices gather
+        every leading row of the operand (through contiguous views of
+        the flat ``gather`` scratch), so the verification cost of one
+        product buys all of a block's.  Chunks containing a nonzero
         syndrome or an out-of-range index are *not* gathered; their
         ``[lo, hi)`` codeword windows are returned for the caller to
         re-check (and correct) through the container's scalar cold path

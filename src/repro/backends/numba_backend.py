@@ -102,7 +102,7 @@ if HAS_NUMBA:  # pragma: no cover - compiled/exercised only with numba
             out[row] = acc
 
     @numba.njit(cache=True, parallel=True)
-    def _spmm(values, colidx, rowptr, X, out):
+    def _spmv_block(values, colidx, rowptr, X, out):
         k = X.shape[0]
         for row in numba.prange(out.shape[1]):
             for j in range(k):
@@ -112,7 +112,7 @@ if HAS_NUMBA:  # pragma: no cover - compiled/exercised only with numba
                 out[j, row] = acc
 
     @numba.njit(cache=True, parallel=True)
-    def _fused_gather_verify_multi(
+    def _fused_gather_verify_block(
         values, vwords, colidx, X, full_masks, all_mask,
         index_mask, n_cols, col64, products, chunk, bad_counts,
     ):
@@ -176,12 +176,17 @@ if HAS_NUMBA:  # pragma: no cover - compiled/exercised only with numba
 
 
 class NumbaBackend(KernelBackend):
-    """Jitted kernels; only constructible when numba imports."""
+    """Jitted kernels; only constructible when numba imports.
+
+    The SpMV and fused-verify methods take an operand of any rank like
+    every backend; behind them sit two jitted bodies each (a scalar
+    per-row loop and its per-(row, rhs) blocked form), picked by the
+    operand's rank because the loop nests differ.
+    """
 
     name = "numba"
     available = HAS_NUMBA
     supports_fused_verify = HAS_NUMBA
-    supports_fused_verify_multi = HAS_NUMBA
 
     def __init__(self):  # pragma: no cover - needs numba
         if not HAS_NUMBA:
@@ -203,51 +208,26 @@ class NumbaBackend(KernelBackend):
     def spmv(self, values, colidx, rowptr, x, n_rows,
              out=None, products=None, gather=None,
              lengths=None):  # pragma: no cover
-        # The jitted loop is scalar per row, so the products/gather/
-        # lengths scratch buffers are unnecessary and ignored.
+        # The jitted loops accumulate per row (and per right-hand side),
+        # so the products/gather/lengths scratch buffers are unnecessary
+        # and ignored.
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if out is None:
-            out = np.empty(n_rows, dtype=np.float64)
-        _spmv(values, np.asarray(colidx, dtype=np.int64),
-              np.asarray(rowptr, dtype=np.int64), x, out)
+            out = np.empty(x.shape[:-1] + (n_rows,), dtype=np.float64)
+        kernel = _spmv if x.ndim == 1 else _spmv_block
+        kernel(values, np.asarray(colidx, dtype=np.int64),
+               np.asarray(rowptr, dtype=np.int64), x, out)
         return out
 
     def fused_gather_verify(
-        self, code, values, colidx, x, index_mask, n_cols, col64, products
+        self, code, values, colidx, x, index_mask, n_cols, col64, products, gather
     ):  # pragma: no cover
         chunk = code.scratch.chunk
         n_chunks = max(1, -(-values.size // chunk))
         bad_counts = np.zeros(n_chunks, dtype=np.int64)
-        _fused_gather_verify(
+        kernel = _fused_gather_verify if x.ndim == 1 else _fused_gather_verify_block
+        kernel(
             values, values.view(np.uint64), colidx, x,
-            code._full_masks, code._all_mask,
-            np.uint64(index_mask), np.int64(n_cols),
-            col64, products, np.int64(chunk), bad_counts,
-        )
-        return [
-            (c * chunk, min(c * chunk + chunk, values.size))
-            for c in np.flatnonzero(bad_counts)
-        ]
-
-    def spmm(self, values, colidx, rowptr, X, n_rows,
-             out=None, products=None, tile=None,
-             lengths=None):  # pragma: no cover
-        # Scalar per (row, rhs) accumulation; the tile/products scratch
-        # buffers are unnecessary and ignored.
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if out is None:
-            out = np.empty((X.shape[0], n_rows), dtype=np.float64)
-        _spmm(values, np.asarray(colidx, dtype=np.int64),
-              np.asarray(rowptr, dtype=np.int64), X, out)
-        return out
-
-    def fused_gather_verify_multi(
-        self, code, values, colidx, X, index_mask, n_cols, col64, products, tile
-    ):  # pragma: no cover
-        chunk = code.scratch.chunk
-        n_chunks = max(1, -(-values.size // chunk))
-        bad_counts = np.zeros(n_chunks, dtype=np.int64)
-        _fused_gather_verify_multi(
-            values, values.view(np.uint64), colidx, X,
             code._full_masks, code._all_mask,
             np.uint64(index_mask), np.int64(n_cols),
             col64, products, np.int64(chunk), bad_counts,

@@ -21,10 +21,11 @@ exact per-element passes, so correction behaviour is unchanged (see
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.backends.base import KernelBackend
-from repro.csr.spmv import spmm as _numpy_spmm
 from repro.csr.spmv import spmv as _numpy_spmv
 
 _ONE16 = np.uint16(1)
@@ -177,7 +178,6 @@ class NumpyFusedBackend(KernelBackend):
 
     name = "numpy_fused"
     supports_fused_verify = True
-    supports_fused_verify_multi = True
 
     # -- SECDED ---------------------------------------------------------
     def syndrome_into(self, code, lanes, syn, parity) -> None:
@@ -247,7 +247,7 @@ class NumpyFusedBackend(KernelBackend):
         )
 
     def fused_gather_verify(
-        self, code, values, colidx, x, index_mask, n_cols, col64, products
+        self, code, values, colidx, x, index_mask, n_cols, col64, products, gather
     ):
         """Single-pass syndrome + decode + gather + multiply (see base class).
 
@@ -256,13 +256,21 @@ class NumpyFusedBackend(KernelBackend):
         the (value word, widened index) pairs, and — when the chunk
         screens clean — strip the redundancy bits, bounds-check, gather
         ``x`` and multiply into ``products``, all through persistent
-        buffers.  Dirty or out-of-range chunks are skipped and returned
-        as ``[lo, hi)`` windows for the container's scalar correction
-        path (which re-screens them with exact per-element syndromes).
+        buffers.  The screen, decode and bounds check never look at the
+        operand, so one pass covers every leading row of ``x``; clean
+        chunks gather through a contiguous ``(..., n)`` view of the flat
+        ``gather`` scratch (contiguity keeps ``np.take(..., axis=-1,
+        out=)`` on its non-buffering path) and broadcast-multiply into
+        ``products[..., lo:hi]``.  Dirty or out-of-range chunks are
+        skipped and returned as ``[lo, hi)`` windows for the container's
+        scalar correction path (which re-screens them with exact
+        per-element syndromes).
         """
         scratch = code.scratch
         vwords = values.view(np.uint64)
         nnz = values.size
+        lead = x.shape[:-1]
+        k = math.prod(lead)
         mask64 = np.uint64(index_mask)
         bad: list[tuple[int, int]] = []
         for lo in range(0, nnz, scratch.chunk):
@@ -279,59 +287,9 @@ class NumpyFusedBackend(KernelBackend):
             if int(col.max(initial=0)) >= n_cols:
                 bad.append((lo, hi))
                 continue
-            g = scratch.gather[:n]
+            g = gather[: k * n].reshape(lead + (n,))
             # mode="clip" skips numpy's internal bounce buffer; the
             # max() screen above already guarantees in-range indices.
-            np.take(x, col, out=g, mode="clip")
-            np.multiply(values[lo:hi], g, out=products[lo:hi])
-        return bad
-
-    def spmm(
-        self, values, colidx, rowptr, X, n_rows,
-        out=None, products=None, tile=None, lengths=None,
-    ):
-        return _numpy_spmm(
-            values, colidx, rowptr, X, n_rows, out=out,
-            products=products, tile=tile, lengths=lengths,
-        )
-
-    def fused_gather_verify_multi(
-        self, code, values, colidx, X, index_mask, n_cols, col64, products, tile
-    ):
-        """Blocked single-pass syndrome + decode + gather (see base class).
-
-        The per-chunk screen, decode and bounds check are byte-for-byte
-        the single-RHS loop — one `_chunk_screen_split` pass covers all
-        ``k`` products of the chunk.  Clean chunks gather every row of
-        ``X`` through a contiguous ``(k, n)`` view of the flat ``tile``
-        scratch (contiguity keeps ``np.take(..., axis=1, out=)`` on its
-        non-buffering path) and broadcast-multiply into
-        ``products[:, lo:hi]``, whose row ``j`` is then bitwise equal to
-        the single-RHS products over ``X[j]``.
-        """
-        scratch = code.scratch
-        vwords = values.view(np.uint64)
-        nnz = values.size
-        k = X.shape[0]
-        mask64 = np.uint64(index_mask)
-        bad: list[tuple[int, int]] = []
-        for lo in range(0, nnz, scratch.chunk):
-            hi = min(lo + scratch.chunk, nnz)
-            n = hi - lo
-            lane = scratch.lane[:n]
-            np.copyto(lane, colidx[lo:hi], casting="same_kind")
-            if not _chunk_screen_split(code, vwords[lo:hi], lane, n, scratch):
-                bad.append((lo, hi))
-                continue
-            col = col64[lo:hi]
-            np.bitwise_and(lane, mask64, out=lane)
-            np.copyto(col, lane, casting="same_kind")
-            if int(col.max(initial=0)) >= n_cols:
-                bad.append((lo, hi))
-                continue
-            t = tile[: k * n].reshape(k, n)
-            # mode="clip" skips numpy's internal bounce buffer; the
-            # max() screen above already guarantees in-range indices.
-            np.take(X, col, axis=1, out=t, mode="clip")
-            np.multiply(values[lo:hi], t, out=products[:, lo:hi])
+            np.take(x, col, axis=-1, out=g, mode="clip")
+            np.multiply(values[lo:hi], g, out=products[..., lo:hi])
         return bad

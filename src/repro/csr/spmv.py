@@ -2,7 +2,8 @@
 
 Two code paths, mirroring how the paper's kernels exploit structure:
 
-* :func:`spmv` — general CSR via ``np.add.reduceat`` (any row lengths);
+* :func:`spmv` — general CSR via ``np.add.reduceat`` (any row lengths,
+  any operand rank: a vector or a block of right-hand sides);
 * :func:`spmv_fixed_width` — the fast path for matrices whose rows all
   store the same number of entries (TeaLeaf's 5-point operator stores 5
   per row), one reshape + row sum, no indirection over rows.
@@ -14,6 +15,8 @@ duplicating arithmetic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -23,15 +26,17 @@ def reduce_rows(
     out: np.ndarray,
     lengths: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row-segment sums of precomputed per-element ``products`` into ``out``.
+    """Row-segment sums of per-element ``(..., nnz)`` ``products`` into ``out``.
 
     The one reduction every SpMV variant shares — the plain kernel, the
     scratch-buffered kernel and the fused verify-in-SpMV kernels all
     finish through this helper, so their results are bitwise identical
     by construction (``np.add.reduceat`` sums each segment left to
-    right, matching a scalar per-row loop exactly).  Handles empty rows
-    (where ``reduceat`` alone would mis-assign segments) by masking them
-    after the reduction.
+    right, matching a scalar per-row loop exactly).  The reduction runs
+    along the last axis, so row ``j`` of a ``(k, nnz)`` block reduces
+    exactly as the 1-D call on ``products[j]`` would.  Handles empty
+    rows (where ``reduceat`` alone would mis-assign segments) by masking
+    them after the reduction.
 
     ``lengths`` is an optional caller-owned int64 scratch of size
     ``n_rows``; with it, the all-rows-nonempty fast path allocates
@@ -43,13 +48,13 @@ def reduce_rows(
     else:
         np.subtract(rowptr[1:], starts, out=lengths)
     if int(lengths.min(initial=1)) > 0:
-        np.add.reduceat(products, starts, out=out)
+        np.add.reduceat(products, starts, axis=-1, out=out)
     else:
         # reduceat with repeated offsets returns products[start] for empty
         # rows; compute on the compacted rows then scatter back.
         nonempty = lengths > 0
         out[:] = 0.0
-        out[nonempty] = np.add.reduceat(products, starts[nonempty])
+        out[..., nonempty] = np.add.reduceat(products, starts[nonempty], axis=-1)
     return out
 
 
@@ -64,18 +69,29 @@ def spmv(
     gather: np.ndarray | None = None,
     lengths: np.ndarray | None = None,
 ) -> np.ndarray:
-    """General CSR matrix-vector product.
+    """General CSR product over an ``(..., n_cols)`` operand.
 
-    ``products`` (nnz-sized float64), ``gather`` (chunk-sized float64)
-    and ``lengths`` (n_rows-sized int64) are optional caller-owned
-    scratch buffers: with them, the gather and multiply run
-    chunk-by-chunk into them and the product allocates nothing
-    proportional to the matrix (the protected matrices pass their
-    persistent buffers so engine-mediated SpMVs are allocation-free
-    after warm-up).  The result is bitwise identical either way.
+    A 1-D ``x`` is the matrix-vector product; a ``(k, n_cols)`` block
+    holds one right-hand side per *row* (each system's vector a
+    contiguous slab) and yields ``(k, n_rows)`` in the same layout.  The
+    operand's leading shape only sizes the scratch: row ``j`` of a
+    blocked result is bitwise identical to the 1-D call on ``x[j]`` —
+    the gather/multiply is the same elementwise arithmetic and the
+    reduction goes through :func:`reduce_rows`.
+
+    ``products`` (``(..., nnz)`` float64), ``gather`` (flat float64, one
+    chunk per leading element) and ``lengths`` (n_rows-sized int64) are
+    optional caller-owned scratch buffers: with them, the gather and
+    multiply run chunk-by-chunk into them and the product allocates
+    nothing proportional to the matrix (the protected matrices pass
+    their persistent buffers so engine-mediated SpMVs are
+    allocation-free after warm-up).  The result is bitwise identical
+    either way.
     """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    lead = x.shape[:-1]
     if out is None:
-        out = np.zeros(n_rows, dtype=np.float64)
+        out = np.zeros(lead + (n_rows,), dtype=np.float64)
     if values.size == 0:
         out[:] = 0.0
         return out
@@ -87,96 +103,21 @@ def spmv(
     if rowptr.dtype != np.int64:
         rowptr = rowptr.astype(np.int64)
     if products is None or gather is None:
-        products = values * x[colidx]
+        products = values * x[..., colidx]
     else:
-        chunk = gather.size
+        k = math.prod(lead)
+        chunk = gather.size // k
         for lo in range(0, values.size, chunk):
             hi = min(lo + chunk, values.size)
-            g = gather[: hi - lo]
+            # A contiguous view of the flat scratch keeps the axis=-1
+            # take on NumPy's non-buffering path at every rank.
+            g = gather[: k * (hi - lo)].reshape(lead + (hi - lo,))
             # mode="clip" skips numpy's internal bounce buffer; callers
             # pass validated (bounds-checked) snapshot indices here.
-            np.take(x, colidx[lo:hi], out=g, mode="clip")
-            np.multiply(values[lo:hi], g, out=products[lo:hi])
-        products = products[: values.size]
+            np.take(x, colidx[lo:hi], axis=-1, out=g, mode="clip")
+            np.multiply(values[lo:hi], g, out=products[..., lo:hi])
+        products = products[..., : values.size]
     return reduce_rows(products, rowptr, out, lengths=lengths)
-
-
-def reduce_rows_multi(
-    products: np.ndarray,
-    rowptr: np.ndarray,
-    out: np.ndarray,
-    lengths: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row-segment sums of a ``(k, nnz)`` product block into ``(k, n_rows)``.
-
-    The multi-RHS twin of :func:`reduce_rows`: ``np.add.reduceat`` along
-    ``axis=1`` performs the identical left-to-right segment sum per row
-    of the block, so column ``j`` of the result is bitwise equal to a
-    single-RHS :func:`reduce_rows` over ``products[j]``.  Empty matrix
-    rows are masked exactly as in the 1-D kernel.
-    """
-    starts = rowptr[:-1]
-    if lengths is None:
-        lengths = rowptr[1:] - starts
-    else:
-        np.subtract(rowptr[1:], starts, out=lengths)
-    if int(lengths.min(initial=1)) > 0:
-        np.add.reduceat(products, starts, axis=1, out=out)
-    else:
-        nonempty = lengths > 0
-        out[:] = 0.0
-        out[:, nonempty] = np.add.reduceat(products, starts[nonempty], axis=1)
-    return out
-
-
-def spmm(
-    values: np.ndarray,
-    colidx: np.ndarray,
-    rowptr: np.ndarray,
-    X: np.ndarray,
-    n_rows: int,
-    out: np.ndarray | None = None,
-    products: np.ndarray | None = None,
-    tile: np.ndarray | None = None,
-    lengths: np.ndarray | None = None,
-) -> np.ndarray:
-    """Blocked CSR product ``A @ X.T`` for a ``(k, n_cols)`` RHS block.
-
-    ``X`` holds one right-hand side per *row* (C-contiguous, so each
-    system's vector is a contiguous slab); the result is ``(k, n_rows)``
-    in the same layout.  ``products`` (``(k, nnz)`` float64) and ``tile``
-    (flat ``k * chunk`` float64) are optional caller-owned scratch: with
-    them the gather runs chunk-by-chunk through ``np.take(..., axis=1)``
-    into contiguous tile views and the product allocates nothing
-    proportional to the matrix.  Row ``j`` of the result is bitwise
-    identical to :func:`spmv` on ``X[j]`` — the gather/multiply is the
-    same elementwise arithmetic and the reduction goes through
-    :func:`reduce_rows_multi`.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    k = X.shape[0]
-    if out is None:
-        out = np.zeros((k, n_rows), dtype=np.float64)
-    if values.size == 0:
-        out[:] = 0.0
-        return out
-    if colidx.dtype != np.int64:
-        colidx = colidx.astype(np.int64)
-    if rowptr.dtype != np.int64:
-        rowptr = rowptr.astype(np.int64)
-    if products is None or tile is None:
-        products = values[None, :] * X[:, colidx]
-    else:
-        chunk = tile.size // k
-        for lo in range(0, values.size, chunk):
-            hi = min(lo + chunk, values.size)
-            t = tile[: k * (hi - lo)].reshape(k, hi - lo)
-            # mode="clip" skips numpy's internal bounce buffer; callers
-            # pass validated (bounds-checked) snapshot indices here.
-            np.take(X, colidx[lo:hi], axis=1, out=t, mode="clip")
-            np.multiply(values[lo:hi], t, out=products[:, lo:hi])
-        products = products[:, : values.size]
-    return reduce_rows_multi(products, rowptr, out, lengths=lengths)
 
 
 def spmv_fixed_width(

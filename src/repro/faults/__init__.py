@@ -16,7 +16,6 @@ does not double-import the campaign module through the package.
 _EXPORTS = {
     "PoissonProcess": "repro.faults.process",
     "FaultyRunReport": "repro.faults.process",
-    "faulty_cg_solve": "repro.faults.process",
     "faulty_solve": "repro.faults.process",
     "FaultModel": "repro.faults.models",
     "SingleBitFlip": "repro.faults.models",

@@ -7,17 +7,12 @@ between iterations, which is when real upsets strike — so the
 deferred-checking semantics of §VI.A.2 (errors discovered up to N
 iterations late, mandatory end-of-step sweep) can be observed end to end.
 
-Two drivers:
-
-* :func:`faulty_solve` — the registry-threaded harness: any solver
-  method, any :class:`~repro.protect.config.ProtectionConfig` (including
-  its ``recovery=`` strategy), faults injected through the engine's
-  iteration hook into the matrix *and* the live protected state vectors.
-  This is what the resilience campaigns and the sharded executor run.
-* :func:`faulty_cg_solve` — the original hand-rolled eager-CG loop with
-  explicit re-encode/abort handling, kept for the MTBF ablation (it
-  predates the recovery layer and demonstrates application-level
-  re-encode without it).
+One driver, :func:`faulty_solve` — the registry-threaded harness: any
+solver method, any :class:`~repro.protect.config.ProtectionConfig`
+(including its ``recovery=`` strategy), faults injected through the
+engine's iteration hook into the matrix *and* the live protected state
+vectors.  This is what the resilience campaigns and the sharded executor
+run.
 """
 
 from __future__ import annotations
@@ -29,9 +24,7 @@ import numpy as np
 from repro.errors import BoundsViolationError, DetectedUncorrectableError
 from repro.faults.injector import Region, inject_into_matrix, inject_into_vector
 from repro.faults.models import FaultSpec
-from repro.protect.kernels import verify_matrix
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.protect.policy import CheckPolicy
 from repro.solvers.base import SolverResult
 
 
@@ -228,101 +221,3 @@ def faulty_solve(
         recovered=recovered,
         recovery=strategy,
     )
-
-
-def faulty_cg_solve(
-    matrix: ProtectedCSRMatrix,
-    b: np.ndarray,
-    process: PoissonProcess,
-    *,
-    eps: float = 1e-16,
-    max_iters: int = 500,
-    policy: CheckPolicy | None = None,
-    on_due: str = "reencode",
-) -> FaultyRunReport:
-    """CG under a live fault process, with the paper's recovery options.
-
-    Faults are injected between iterations; the policy decides how soon
-    they are noticed.  ``on_due`` selects the recovery for uncorrectable
-    detections: ``"reencode"`` (rebuild redundancy from a pristine copy
-    and continue — the ABFT recovery story) or ``"abort"``.
-    """
-    if policy is None:
-        policy = CheckPolicy(interval=1, correct=True)
-    pristine = matrix.to_csr()
-    n = matrix.n_rows
-    injected = corrected0 = dues = bounds_trips = 0
-    injection_iters: list[int] = []
-
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rr = float(np.dot(r, r))
-    it = 0
-    result = None
-    policy.reset()
-    while it < max_iters:
-        events = process.sample_region(matrix)
-        if events:
-            injection_iters.append(it)
-            for region, spec in events:
-                injected += inject_into_matrix(matrix, region, [spec])
-            # The SpMV consumes cached clean index views; drop them so the
-            # injected corruption is live in this iteration's compute, as
-            # the campaign semantics require.
-            matrix.invalidate_clean_views()
-        try:
-            verify_matrix(matrix, policy)
-            w = matrix.matvec_unchecked(p)
-        except (DetectedUncorrectableError, BoundsViolationError) as exc:
-            if isinstance(exc, BoundsViolationError):
-                bounds_trips += 1
-            else:
-                dues += 1
-            if on_due == "abort":
-                break
-            matrix.reencode_from(pristine)
-            continue  # retry the iteration on repaired data
-        pw = float(np.dot(p, w))
-        if pw == 0.0:
-            break
-        alpha = rr / pw
-        x += alpha * p
-        r -= alpha * w
-        rr_new = float(np.dot(r, r))
-        it += 1
-        if rr_new < eps:
-            result = SolverResult(
-                x=x, iterations=it, converged=True,
-                residual_norms=[float(np.sqrt(rr_new))],
-            )
-            break
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    corrected0 = policy.stats.corrected
-
-    # Mandatory end-of-step sweep: anything still lurking is found here.
-    silent = 0
-    try:
-        verify_matrix(matrix, policy, force=True)
-    except DetectedUncorrectableError:
-        dues += 1
-        matrix.reencode_from(pristine)
-    decoded = matrix.to_csr()
-    if not (
-        np.array_equal(decoded.values, pristine.values)
-        and np.array_equal(decoded.colidx, pristine.colidx)
-        and np.array_equal(decoded.rowptr, pristine.rowptr)
-    ):
-        silent = 1
-    return FaultyRunReport(
-        result=result,
-        injected=injected,
-        corrected=policy.stats.corrected,
-        detected_uncorrectable=dues,
-        bounds_trips=bounds_trips,
-        silent_at_end=silent,
-        injection_iterations=injection_iters,
-    )
-
-

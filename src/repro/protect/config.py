@@ -4,9 +4,9 @@ The paper argues the right home for these techniques is the solver-library
 level (§VIII); selective-reliability work (Bridges et al.) shows the win
 comes from a *uniform* reliability interface over many solver methods.
 Before this module existed the configuration surface was scattered across
-``CheckPolicy`` kwargs, per-solver keyword arguments, the TeaLeaf
-``Protection`` dataclass and raw scheme strings — five incompatible ways
-to say the same thing.  ``ProtectionConfig`` replaces them all:
+``CheckPolicy`` kwargs, per-solver keyword arguments, a TeaLeaf-only
+dataclass and raw scheme strings — five incompatible ways to say the
+same thing.  ``ProtectionConfig`` replaces them all:
 
 * **what** is protected — ``element_scheme`` / ``rowptr_scheme`` for the
   matrix regions, ``vector_scheme`` for the dense solver state;
@@ -124,7 +124,14 @@ class ProtectionConfig:
     # -- presets --------------------------------------------------------
     @classmethod
     def off(cls) -> "ProtectionConfig":
-        """No protection at all: the unprotected baseline."""
+        """No protection at all: the unprotected baseline.
+
+        The null codec — :meth:`wrap_matrix` puts passthrough containers
+        over a copy of the source arrays and the engine schedules
+        nothing, so a CG under it is the protected pipeline with every
+        codec step a no-op.  ``repro.solve`` runs ``protection=None``
+        under this config, over a no-copy wrap of its own.
+        """
         return cls(element_scheme=None, rowptr_scheme=None, vector_scheme=None,
                    interval=0)
 

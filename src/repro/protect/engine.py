@@ -37,11 +37,7 @@ import numpy as np
 
 from repro import backends
 from repro.errors import ConfigurationError, DetectedUncorrectableError
-from repro.protect.kernels import (
-    full_matrix_check,
-    fused_matrix_spmm,
-    fused_matrix_spmv,
-)
+from repro.protect.kernels import full_matrix_check, fused_matrix_spmv
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 from repro.protect.vector import ProtectedVector
@@ -169,6 +165,14 @@ class DeferredVerificationEngine:
     ) -> np.ndarray:
         """``A @ x`` with schedule-driven matrix verification.
 
+        ``x`` is a vector or a ``(k, n)`` block of right-hand sides (one
+        per row; blocked iterates read their protected block stores
+        through :meth:`read` first).  The operand's rank changes nothing
+        about scheduling: one product advances the matrix counter
+        exactly once, so a blocked solve's due pattern matches a
+        single-RHS solve's, and a due fused access screens every
+        codeword once for all ``k`` gathers.
+
         Follows the paper's per-access model, amortised: every SpMV
         advances the matrix counter; a due access verifies the matrix
         (one round-robin stripe when ``policy.stripes > 1``, the whole
@@ -218,50 +222,6 @@ class DeferredVerificationEngine:
             self.policy.stats.bounds_checks += 1
             self._fused_cover.discard(key)
         return matrix.matvec_unchecked(x, out=out, backend=backend)
-
-    def spmm(
-        self,
-        matrix: ProtectedCSRMatrix,
-        X: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Blocked ``A @ X.T`` with schedule-driven matrix verification.
-
-        The multi-RHS twin of :meth:`spmv` with identical scheduling:
-        one blocked product advances the matrix counter exactly once
-        (a blocked solve's due pattern matches a single-RHS solve's),
-        a due access runs the fused blocked kernel — every codeword
-        screened once, feeding all ``k`` gathers — and earns the same
-        consumption coverage toward skipping the end-of-step sweep.
-        ``X`` is a plain ``(k, n)`` array (blocked iterates read their
-        protected block stores through :meth:`read` first).
-        """
-        key = id(matrix)
-        if key not in self._matrices:
-            self.register(matrix)
-        self._read_since_check.add(key)
-        backend = self.backend if self.backend is not None else backends.get_backend()
-        if self.policy.should_check():
-            if self.policy.fused_verify and matrix.supports_fused_verify_multi(backend):
-                name = self._matrices.get(key, ("matrix", None))[0]
-                self._read_since_check.discard(key)
-                self._stripe_cursor.pop(key, None)
-                with backends.active(self.backend):
-                    y = fused_matrix_spmm(
-                        matrix, X, self.policy, name=name, out=out, backend=backend
-                    )
-                self._fused_cover.add(key)
-                return y
-            with backends.active(self.backend):
-                if self.policy.stripes > 1:
-                    self._verify_stripe(matrix)
-                else:
-                    self.verify_matrix(matrix)
-        elif self.policy.interval:
-            matrix.clean_views()  # populate + validate if stale; no-op otherwise
-            self.policy.stats.bounds_checks += 1
-            self._fused_cover.discard(key)
-        return matrix.matvec_multi_unchecked(X, out=out, backend=backend)
 
     # -- scheduled verification ----------------------------------------
     def begin_iteration(self) -> bool:

@@ -35,6 +35,22 @@ from repro.protect.policy import CheckPolicy
 from repro.protect.vector import ProtectedVector
 
 
+def _account_reports(reports: dict, policy: CheckPolicy, name: str | None) -> None:
+    """Fold region reports into the policy counters; raise on a DUE.
+
+    The one report → stats → raise step every matrix verification ends
+    in, whether it ran as a sweep or fused inside a product.
+    """
+    for region, report in reports.items():
+        policy.stats.corrected += report.n_corrected
+        policy.stats.uncorrectable += report.n_uncorrectable
+        if not report.ok:
+            region_name = f"{name}:{region}" if name else region
+            raise DetectedUncorrectableError(
+                region_name, report.uncorrectable_indices()[:8].tolist()
+            )
+
+
 def full_matrix_check(
     matrix: ProtectedCSRMatrix,
     policy: CheckPolicy,
@@ -55,14 +71,7 @@ def full_matrix_check(
     else:
         reports = matrix.check_stripe(stripe[0], stripe[1], correct=policy.correct)
         policy.stats.stripe_checks += 1
-    for region, report in reports.items():
-        policy.stats.corrected += report.n_corrected
-        policy.stats.uncorrectable += report.n_uncorrectable
-        if not report.ok:
-            region_name = f"{name}:{region}" if name else region
-            raise DetectedUncorrectableError(
-                region_name, report.uncorrectable_indices()[:8].tolist()
-            )
+    _account_reports(reports, policy, name)
 
 
 def fused_matrix_spmv(
@@ -80,55 +89,16 @@ def fused_matrix_spmv(
     on the gather traffic the product pays for anyway
     (:meth:`~repro.protect.matrix.ProtectedCSRMatrix.spmv_verified`),
     with identical accounting — the access counts as a full check plus a
-    ``fused_products`` tick — and the same raise-on-uncorrectable
-    contract.
+    ``fused_products`` tick, whatever the operand's rank (a blocked
+    product verifies each codeword once for all its right-hand sides) —
+    and the same raise-on-uncorrectable contract.
     """
     y, reports = matrix.spmv_verified(
         x, out=out, correct=policy.correct, backend=backend
     )
     policy.stats.full_checks += 1
     policy.stats.fused_products += 1
-    for region, report in reports.items():
-        policy.stats.corrected += report.n_corrected
-        policy.stats.uncorrectable += report.n_uncorrectable
-        if not report.ok:
-            region_name = f"{name}:{region}" if name else region
-            raise DetectedUncorrectableError(
-                region_name, report.uncorrectable_indices()[:8].tolist()
-            )
-    return y
-
-
-def fused_matrix_spmm(
-    matrix: ProtectedCSRMatrix,
-    X: np.ndarray,
-    policy: CheckPolicy,
-    name: str | None = None,
-    out: np.ndarray | None = None,
-    backend=None,
-) -> np.ndarray:
-    """A due blocked SpMV whose matrix check runs fused inside the product.
-
-    The multi-RHS twin of :func:`fused_matrix_spmv`: every codeword is
-    verified once and its decoded element feeds all ``k`` products
-    (:meth:`~repro.protect.matrix.ProtectedCSRMatrix.spmv_verified_multi`).
-    Accounting and the raise-on-uncorrectable contract are identical —
-    one full check plus one ``fused_products`` tick per blocked product,
-    matching a single-RHS due access.
-    """
-    y, reports = matrix.spmv_verified_multi(
-        X, out=out, correct=policy.correct, backend=backend
-    )
-    policy.stats.full_checks += 1
-    policy.stats.fused_products += 1
-    for region, report in reports.items():
-        policy.stats.corrected += report.n_corrected
-        policy.stats.uncorrectable += report.n_uncorrectable
-        if not report.ok:
-            region_name = f"{name}:{region}" if name else region
-            raise DetectedUncorrectableError(
-                region_name, report.uncorrectable_indices()[:8].tolist()
-            )
+    _account_reports(reports, policy, name)
     return y
 
 

@@ -9,11 +9,13 @@ the sum of the overheads of the two techniques".
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.backends.base import CHUNK
 from repro.csr.matrix import CSRMatrix
-from repro.csr.spmv import reduce_rows, reduce_rows_multi, spmm, spmv
+from repro.csr.spmv import reduce_rows, spmv
 from repro.ecc.base import CheckReport
 from repro.errors import BoundsViolationError, DetectedUncorrectableError
 from repro.protect.csr_elements import ProtectedCSRElements
@@ -98,7 +100,8 @@ class ProtectedCSRMatrix:
         comparing against it).
     element_scheme / rowptr_scheme:
         Any of ``sed``, ``secded64``, ``secded128``, ``crc32c`` — mixed
-        freely, as in the paper.
+        freely, as in the paper — or ``None`` to leave that region
+        without redundancy (a passthrough over its own copy).
     """
 
     def __init__(
@@ -107,23 +110,48 @@ class ProtectedCSRMatrix:
         element_scheme: str | None = "secded64",
         rowptr_scheme: str | None = "secded64",
     ):
-        self.shape = matrix.shape
         if rowptr_scheme is None:
-            self.rowptr_protected = _UnprotectedRowPointer(matrix.rowptr.copy())
+            rowptr = _UnprotectedRowPointer(matrix.rowptr.copy())
         else:
-            self.rowptr_protected = ProtectedRowPointer(matrix.rowptr, rowptr_scheme)
+            rowptr = ProtectedRowPointer(matrix.rowptr, rowptr_scheme)
         if element_scheme is None:
-            self.elements = _UnprotectedElements(
+            elements = _UnprotectedElements(
                 matrix.values.copy(), matrix.colidx.copy()
             )
         else:
-            self.elements = ProtectedCSRElements(
+            elements = ProtectedCSRElements(
                 matrix.values.copy(),
                 matrix.colidx.copy(),
-                self.rowptr_protected.clean(),  # trusted structure at build time
+                rowptr.clean(),  # trusted structure at build time
                 matrix.shape[1],
                 element_scheme,
             )
+        self._adopt(matrix.shape, elements, rowptr)
+
+    @classmethod
+    def _alias(cls, matrix: CSRMatrix) -> "ProtectedCSRMatrix":
+        """The null codec over the caller's own arrays — no copy.
+
+        What ``repro.solve`` wraps an unprotected CG in: both regions
+        are passthroughs *aliasing* ``matrix``, so the baseline runs the
+        same kernels and runners at no memory cost.  Private because the
+        no-copy is only sound for a wrap nothing writes through (no
+        injection, no re-encode); everything else goes through the
+        copying constructor.
+        """
+        pmat = cls.__new__(cls)
+        pmat._adopt(
+            matrix.shape,
+            _UnprotectedElements(matrix.values, matrix.colidx),
+            _UnprotectedRowPointer(matrix.rowptr),
+        )
+        return pmat
+
+    def _adopt(self, shape, elements, rowptr_protected) -> None:
+        """Take the two region containers and start with cold caches."""
+        self.shape = shape
+        self.elements = elements
+        self.rowptr_protected = rowptr_protected
         # Persistent pre-converted SpMV index snapshot: int64 copies of
         # the cleaned colidx/rowptr, validated once when (re)populated
         # and then consumed by every SpMV without re-decoding or
@@ -134,16 +162,14 @@ class ProtectedCSRMatrix:
         self._views_valid = False
         self._diagonal: np.ndarray | None = None
         # Persistent SpMV product scratch: per-element products plus one
-        # cache-block gather buffer, so every engine-mediated product
-        # (fused or not) runs allocation-free after warm-up.
+        # cache-block gather buffer per leading element of the operand,
+        # so every engine-mediated product (fused or not) runs
+        # allocation-free after warm-up.  One flat pair sized for the
+        # widest operand seen; each leading shape gets cached views of it.
         self._products: np.ndarray | None = None
         self._gather: np.ndarray | None = None
+        self._scratch_views: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._row_lengths: np.ndarray | None = None
-        # Blocked multi-RHS scratch, keyed by the block width k so a
-        # session serving one batch size reuses the same buffers.
-        self._products2d: np.ndarray | None = None
-        self._tile2d: np.ndarray | None = None
-        self._block_k = 0
 
     # ------------------------------------------------------------------
     @property
@@ -277,20 +303,22 @@ class ProtectedCSRMatrix:
         snapshot is next rebuilt.
         """
         if not self._views_valid:
-            if self._col64 is None:
-                self._col64 = np.empty(self.nnz, dtype=np.int64)
-                self._ptr64 = np.empty(self.rowptr_protected.raw.size, dtype=np.int64)
-                self._ptr_diff = np.empty(
-                    max(self._ptr64.size - 1, 0), dtype=np.int64
-                )
+            self._snapshot_buffers()
             self.elements.colidx_clean64(self._col64)
             self.rowptr_protected.clean64(self._ptr64)
             self._validate_snapshot()
             self._views_valid = True
         return self._col64, self._ptr64
 
-    def _validate_snapshot(self) -> None:
-        """The once-per-population range check guarding the snapshot."""
+    def _snapshot_buffers(self) -> None:
+        """Allocate the persistent snapshot buffers on first use."""
+        if self._col64 is None:
+            self._col64 = np.empty(self.nnz, dtype=np.int64)
+            self._ptr64 = np.empty(self.rowptr_protected.raw.size, dtype=np.int64)
+            self._ptr_diff = np.empty(max(self._ptr64.size - 1, 0), dtype=np.int64)
+
+    def _validate_rowptr(self) -> None:
+        """Range and monotonicity check of the decoded row pointer."""
         ptr = self._ptr64
         if int(ptr.max(initial=0)) > self.nnz:
             raise BoundsViolationError("row_pointer")
@@ -298,6 +326,10 @@ class ProtectedCSRMatrix:
             np.subtract(ptr[1:], ptr[:-1], out=self._ptr_diff)
             if int(self._ptr_diff.min()) < 0:
                 raise BoundsViolationError("row_pointer")
+
+    def _validate_snapshot(self) -> None:
+        """The once-per-population range check guarding the snapshot."""
+        self._validate_rowptr()
         col = self._col64
         if col.size and int(col.max()) >= self.n_cols:
             raise BoundsViolationError("csr_elements")
@@ -323,27 +355,53 @@ class ProtectedCSRMatrix:
             self._diagonal = view.diagonal()
         return self._diagonal
 
-    def _spmv_scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """The persistent (products, gather) SpMV scratch pair."""
-        if self._products is None:
-            self._products = np.empty(self.nnz, dtype=np.float64)
-            self._gather = np.empty(min(CHUNK, max(self.nnz, 1)), dtype=np.float64)
+    def _spmv_scratch(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The persistent ``(products, gather)`` scratch for one operand shape.
+
+        ``lead`` is the operand's leading shape (``()`` for a vector,
+        ``(k,)`` for a block of right-hand sides): ``products`` is
+        ``lead + (nnz,)`` and ``gather`` flat, one cache-block chunk per
+        leading element — per-chunk contiguous views of it keep
+        ``np.take(..., axis=-1, out=)`` on NumPy's non-buffering path.
+        Both are views of one flat pair that only ever grows (to the
+        widest operand seen), so a session alternating solo and blocked
+        solves on one matrix — serve's blocked group, then the
+        job-by-job rest — reallocates nothing on the switch, and every
+        solve runs allocation-free after warm-up.
+        """
+        views = self._scratch_views.get(lead)
+        if views is None:
+            k = math.prod(lead)
+            chunk = min(CHUNK, max(self.nnz, 1))
+            if self._gather is None or self._gather.size < k * chunk:
+                self._products = np.empty(k * self.nnz, dtype=np.float64)
+                self._gather = np.empty(k * chunk, dtype=np.float64)
+                self._scratch_views.clear()
+            views = self._scratch_views[lead] = (
+                self._products[: k * self.nnz].reshape(lead + (self.nnz,)),
+                self._gather[: k * chunk],
+            )
+        if self._row_lengths is None:
             self._row_lengths = np.empty(self.n_rows, dtype=np.int64)
-        return self._products, self._gather
+        return views
 
     def matvec_unchecked(
         self, x: np.ndarray, out: np.ndarray | None = None, backend=None
     ) -> np.ndarray:
         """SpMV on the validated snapshot without any integrity verification.
 
-        ``backend`` selects the SpMV kernel (a
+        ``x`` is ``(..., n_cols)`` — a vector, or a block with one
+        right-hand side per row; row ``j`` of a blocked result is
+        bitwise identical to the 1-D call on ``x[j]`` (same gather
+        arithmetic, same left-to-right row reduction).  ``backend``
+        selects the SpMV kernel (a
         :class:`~repro.backends.base.KernelBackend`); ``None`` uses the
         reference NumPy kernel.  Either way the gather/multiply runs
         through the matrix's persistent product scratch, so the inner
         loop allocates nothing once ``out`` is supplied.
         """
         colidx, rowptr = self.clean_views()
-        products, gather = self._spmv_scratch()
+        products, gather = self._spmv_scratch(np.shape(x)[:-1])
         kernel = spmv if backend is None else backend.spmv
         return kernel(
             self.elements.values,
@@ -354,50 +412,6 @@ class ProtectedCSRMatrix:
             out=out,
             products=products,
             gather=gather,
-            lengths=self._row_lengths,
-        )
-
-    def _spmm_scratch(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The persistent ``(products2d, tile)`` blocked-SpMV scratch pair.
-
-        Reallocated only when the block width ``k`` changes, so a worker
-        serving a steady batch size runs allocation-free after warm-up.
-        The tile is flat ``k * chunk`` — per-chunk contiguous ``(k, n)``
-        views of it keep ``np.take(..., axis=1, out=)`` on NumPy's
-        non-buffering path.
-        """
-        if self._products2d is None or self._block_k != k:
-            self._products2d = np.empty((k, self.nnz), dtype=np.float64)
-            self._tile2d = np.empty(
-                k * min(CHUNK, max(self.nnz, 1)), dtype=np.float64
-            )
-            self._block_k = k
-        if self._row_lengths is None:
-            self._row_lengths = np.empty(self.n_rows, dtype=np.int64)
-        return self._products2d, self._tile2d
-
-    def matvec_multi_unchecked(
-        self, X: np.ndarray, out: np.ndarray | None = None, backend=None
-    ) -> np.ndarray:
-        """Blocked SpMV on the validated snapshot, no integrity verification.
-
-        ``X`` is ``(k, n_cols)`` — one right-hand side per row.  Row
-        ``j`` of the result is bitwise identical to
-        :meth:`matvec_unchecked` on ``X[j]`` (same gather arithmetic,
-        same left-to-right row reduction).
-        """
-        colidx, rowptr = self.clean_views()
-        products, tile = self._spmm_scratch(X.shape[0])
-        kernel = spmm if backend is None else backend.spmm
-        return kernel(
-            self.elements.values,
-            colidx,
-            rowptr,
-            X,
-            self.n_rows,
-            out=out,
-            products=products,
-            tile=tile,
             lengths=self._row_lengths,
         )
 
@@ -415,102 +429,6 @@ class ProtectedCSRMatrix:
             and backend is not None
             and getattr(backend, "supports_fused_verify", False)
         )
-
-    def supports_fused_verify_multi(self, backend) -> bool:
-        """True when :meth:`spmv_verified_multi` has a single-pass path.
-
-        Same scheme requirement as :meth:`supports_fused_verify` plus a
-        backend implementing ``fused_gather_verify_multi``.  Without it,
-        blocked products still verify — check-then-multiply over the
-        whole block, two passes instead of one.
-        """
-        return (
-            self.elements.fused_code() is not None
-            and backend is not None
-            and getattr(backend, "supports_fused_verify_multi", False)
-        )
-
-    def spmv_verified_multi(
-        self,
-        X: np.ndarray,
-        out: np.ndarray | None = None,
-        correct: bool = True,
-        backend=None,
-    ) -> tuple[np.ndarray | None, dict[str, CheckReport]]:
-        """Blocked verify-in-SpMV: one codeword screen amortized over k products.
-
-        The multi-RHS twin of :meth:`spmv_verified`: ``X`` is
-        ``(k, n_cols)`` and the result ``(k, n_rows)``.  Each
-        cache-blocked ``(value, colidx)`` codeword chunk is syndromed
-        **once**, then gathered and multiplied against all ``k``
-        right-hand sides — the verification cost of a single-RHS fused
-        product buys ``k`` verified products.  Row ``j`` of the result
-        is bitwise identical to :meth:`spmv_verified` on ``X[j]`` (same
-        screen decisions, same gather arithmetic, same row reduction).
-        Dirty windows detour through the same scalar correction path;
-        uncorrectable codewords yield ``y is None`` with the failure in
-        the report.
-        """
-        if not self.supports_fused_verify_multi(backend):
-            rp_report = self.rowptr_protected.check(correct=correct)
-            reports = {"row_pointer": rp_report}
-            if not rp_report.ok:
-                return None, reports
-            if rp_report.n_corrected:
-                self._views_valid = False
-                self._diagonal = None
-            el_report = self.elements.check(correct=correct)
-            reports["csr_elements"] = el_report
-            if el_report.n_corrected:
-                self._views_valid = False
-                self._diagonal = None
-            if not el_report.ok:
-                return None, reports
-            return self.matvec_multi_unchecked(X, out=out, backend=backend), reports
-
-        el = self.elements
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        k = X.shape[0]
-        products, tile = self._spmm_scratch(k)
-        if self._col64 is None:
-            self._col64 = np.empty(self.nnz, dtype=np.int64)
-            self._ptr64 = np.empty(self.rowptr_protected.raw.size, dtype=np.int64)
-            self._ptr_diff = np.empty(max(self._ptr64.size - 1, 0), dtype=np.int64)
-        rp_report = self.rowptr_protected.verify_and_clean64(
-            self._ptr64, correct=correct
-        )
-        reports = {"row_pointer": rp_report}
-        if not rp_report.ok:
-            self._views_valid = False
-            self._diagonal = None
-            return None, reports
-        if rp_report.n_corrected:
-            self._diagonal = None
-        ptr = self._ptr64
-        if int(ptr.max(initial=0)) > self.nnz:
-            raise BoundsViolationError("row_pointer")
-        if ptr.size > 1:
-            np.subtract(ptr[1:], ptr[:-1], out=self._ptr_diff)
-            if int(self._ptr_diff.min()) < 0:
-                raise BoundsViolationError("row_pointer")
-
-        bad = backend.fused_gather_verify_multi(
-            el.fused_code(), el.values, el.colidx, X,
-            el.index_mask, self.n_cols, self._col64, products, tile,
-        )
-        reports["csr_elements"] = self._fused_cold_path_multi(bad, X, correct)
-        if not reports["csr_elements"].ok:
-            self._views_valid = False
-            self._diagonal = None
-            return None, reports
-        # Every index was decoded from verified storage and bounds-checked
-        # chunk by chunk: the snapshot this pass filled is the validated one.
-        self._views_valid = True
-        if out is None:
-            out = np.empty((k, self.n_rows), dtype=np.float64)
-        return reduce_rows_multi(
-            products[:, : self.nnz], ptr, out, lengths=self._row_lengths
-        ), reports
 
     def spmv_verified(
         self,
@@ -532,6 +450,14 @@ class ProtectedCSRMatrix:
         uncorrectable codeword yields ``y is None`` with the failure in
         the report (callers raise, mirroring ``check_or_raise``).
 
+        ``x`` is ``(..., n_cols)``.  For a ``(k, n_cols)`` block each
+        codeword chunk is syndromed **once**, then gathered and
+        multiplied against all ``k`` right-hand sides — the verification
+        cost of one product buys ``k`` verified products — and row ``j``
+        of the result is bitwise identical to the 1-D call on ``x[j]``
+        (same screen decisions, same gather arithmetic, same row
+        reduction).
+
         On success the validated index snapshot is refreshed as a side
         effect (the fused pass decoded and bounds-checked every index),
         so follow-up non-due products reuse it with zero extra work.
@@ -546,62 +472,53 @@ class ProtectedCSRMatrix:
             reports = {"row_pointer": rp_report}
             if not rp_report.ok:
                 return None, reports
-            if rp_report.n_corrected:
-                self._views_valid = False
-                self._diagonal = None
             el_report = self.elements.check(correct=correct)
             reports["csr_elements"] = el_report
-            if el_report.n_corrected:
-                self._views_valid = False
-                self._diagonal = None
+            if rp_report.n_corrected or el_report.n_corrected:
+                self.invalidate_clean_views()
             if not el_report.ok:
                 return None, reports
             return self.matvec_unchecked(x, out=out, backend=backend), reports
 
         el = self.elements
-        products, _ = self._spmv_scratch()
-        if self._col64 is None:
-            self._col64 = np.empty(self.nnz, dtype=np.int64)
-            self._ptr64 = np.empty(self.rowptr_protected.raw.size, dtype=np.int64)
-            self._ptr_diff = np.empty(max(self._ptr64.size - 1, 0), dtype=np.int64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        lead = x.shape[:-1]
+        products, gather = self._spmv_scratch(lead)
+        self._snapshot_buffers()
         rp_report = self.rowptr_protected.verify_and_clean64(
             self._ptr64, correct=correct
         )
         reports = {"row_pointer": rp_report}
         if not rp_report.ok:
-            self._views_valid = False
-            self._diagonal = None
+            self.invalidate_clean_views()
             return None, reports
         if rp_report.n_corrected:
             self._diagonal = None
-        ptr = self._ptr64
-        if int(ptr.max(initial=0)) > self.nnz:
-            raise BoundsViolationError("row_pointer")
-        if ptr.size > 1:
-            np.subtract(ptr[1:], ptr[:-1], out=self._ptr_diff)
-            if int(self._ptr_diff.min()) < 0:
-                raise BoundsViolationError("row_pointer")
+        self._validate_rowptr()
 
         bad = backend.fused_gather_verify(
             el.fused_code(), el.values, el.colidx, x,
-            el.index_mask, self.n_cols, self._col64, products,
+            el.index_mask, self.n_cols, self._col64, products, gather,
         )
-        reports["csr_elements"] = self._fused_cold_path(bad, x, correct)
+        reports["csr_elements"] = self._fused_cold_path(bad, x, products, correct)
         if not reports["csr_elements"].ok:
-            self._views_valid = False
-            self._diagonal = None
+            self.invalidate_clean_views()
             return None, reports
         # Every index was decoded from verified storage and bounds-checked
         # chunk by chunk: the snapshot this pass filled is the validated one.
         self._views_valid = True
         if out is None:
-            out = np.empty(self.n_rows, dtype=np.float64)
+            out = np.empty(lead + (self.n_rows,), dtype=np.float64)
         return reduce_rows(
-            products[: self.nnz], ptr, out, lengths=self._row_lengths
+            products, self._ptr64, out, lengths=self._row_lengths
         ), reports
 
     def _fused_cold_path(
-        self, bad: list[tuple[int, int]], x: np.ndarray, correct: bool
+        self,
+        bad: list[tuple[int, int]],
+        x: np.ndarray,
+        products: np.ndarray,
+        correct: bool,
     ) -> CheckReport:
         """Re-check, correct and re-gather the windows a fused pass flagged.
 
@@ -609,8 +526,10 @@ class ProtectedCSRMatrix:
         here each flagged ``[lo, hi)`` window goes through the
         container's scalar correction path, and — when it comes back
         trustworthy — its slice of the decoded-index/product buffers is
-        refilled from the corrected storage.  Returns the whole-container
-        element report (compact all-OK when nothing was flagged).
+        refilled from the corrected storage (one broadcast multiply per
+        window covers every leading row of ``x``).  Returns the
+        whole-container element report (compact all-OK when nothing was
+        flagged).
         """
         el = self.elements
         if not bad:
@@ -634,45 +553,7 @@ class ProtectedCSRMatrix:
                 # Corruption aliased to a clean-looking codeword with an
                 # out-of-range index: surface it as the range-check DUE.
                 raise BoundsViolationError("csr_elements")
-            np.multiply(el.values[lo:hi], x[col], out=self._products[lo:hi])
-        if pos < el.n_codewords:
-            parts.append(CheckReport.all_ok(el.n_codewords - pos))
-        return CheckReport.concat(parts)
-
-    def _fused_cold_path_multi(
-        self, bad: list[tuple[int, int]], X: np.ndarray, correct: bool
-    ) -> CheckReport:
-        """The blocked twin of :meth:`_fused_cold_path`.
-
-        Same window re-check and correction; the repaired slices of the
-        product block are refilled for all ``k`` right-hand sides with
-        one broadcast multiply per window.
-        """
-        el = self.elements
-        if not bad:
-            return CheckReport.all_ok(el.n_codewords)
-        self._diagonal = None
-        parts: list[CheckReport] = []
-        pos = 0
-        imask = np.int64(el.index_mask)
-        for lo, hi in bad:
-            if lo > pos:
-                parts.append(CheckReport.all_ok(lo - pos))
-            window_report = el.check(correct=correct, window=(lo, hi))
-            parts.append(window_report)
-            pos = hi
-            if not (correct and window_report.ok):
-                continue
-            col = self._col64[lo:hi]
-            np.copyto(col, el.colidx[lo:hi], casting="same_kind")
-            np.bitwise_and(col, imask, out=col)
-            if col.size and (int(col.max()) >= self.n_cols or int(col.min()) < 0):
-                # Corruption aliased to a clean-looking codeword with an
-                # out-of-range index: surface it as the range-check DUE.
-                raise BoundsViolationError("csr_elements")
-            np.multiply(
-                el.values[lo:hi], X[:, col], out=self._products2d[:, lo:hi]
-            )
+            np.multiply(el.values[lo:hi], x[..., col], out=products[..., lo:hi])
         if pos < el.n_codewords:
             parts.append(CheckReport.all_ok(el.n_codewords - pos))
         return CheckReport.concat(parts)

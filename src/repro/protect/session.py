@@ -8,11 +8,12 @@ pays a mandatory sweep even when the window has barely opened.  A session
 instead owns a single :class:`~repro.protect.engine.DeferredVerificationEngine`
 for its whole lifetime:
 
-* :meth:`solve` wraps the matrix per the config, runs the registry's
-  engine-threaded solver, and — crucially — *skips* the per-solve
-  ``finalize``: dirty windows and check phases carry over into the next
-  solve, so a window opened near the end of time-step *k* keeps
-  accumulating through time-step *k+1*;
+* :meth:`solve` (``repro.solve(..., protection=session)``) wraps the
+  matrix per the config, runs the registry's engine-threaded solver,
+  and — crucially — *skips* the per-solve ``finalize``: dirty windows
+  and check phases carry over into the next solve, so a window opened
+  near the end of time-step *k* keeps accumulating through time-step
+  *k+1*;
 * :meth:`end_step` is the paper's mandatory end-of-time-step sweep
   (§VI.A.2): every dirty window is flushed, every region read since its
   last check is re-verified, the regions wrapped since the previous sweep
@@ -109,74 +110,43 @@ class ProtectionSession:
         self.track(pmat)
         return pmat
 
-    # -- the unified solve ----------------------------------------------
+    # -- solving under the session --------------------------------------
     def solve(self, A, b: np.ndarray, x0: np.ndarray | None = None, *,
               method: str = "cg", eps: float = 1e-15, max_iters: int = 10_000,
               **kwargs):
-        """Run one engine-threaded solve under the session's schedule.
+        """``repro.solve(A, b, ..., protection=self)``.
 
         ``A`` may be a plain :class:`~repro.csr.matrix.CSRMatrix` (wrapped
-        per the config) or an already-protected matrix.  The solve's
-        mandatory sweep is deferred to :meth:`end_step`, so the engine's
-        dirty windows survive the solve boundary.
+        per the config) or an already-protected matrix; ``b`` a vector
+        or a 2-D ``(n, k)`` block.  The solve's mandatory sweep is
+        deferred to :meth:`end_step`, so the engine's dirty windows
+        survive the solve boundary.
+        """
+        from repro.solvers.registry import solve
 
-        A solve aborted by an integrity error aborts the whole deferral
-        window: *every* tracked region is released before re-raising,
-        because once corruption is detected anywhere in the window the
-        results produced since the last sweep are unverified and must be
+        return solve(A, b, x0, method=method, protection=self, eps=eps,
+                     max_iters=max_iters, **kwargs)
+
+    def run(self, runner, A, b, x0=None, **kwargs):
+        """Run an engine-threaded ``runner`` on this session's engine.
+
+        What the session adds to a solve: the matrix is wrapped (and
+        tracked) per the config, the runner shares the long-lived engine
+        and defers its sweep to :meth:`end_step`, and a solve aborted by
+        an integrity error aborts the whole deferral window — *every*
+        tracked region is released before re-raising, because once
+        corruption is detected anywhere in the window the results
+        produced since the last sweep are unverified and must be
         recomputed from pristine data.  Keeping any of them registered
         would poison every later sweep; releasing them lets the paper's
         recovery story (re-encode, retry, no checkpoint restart)
         continue on this session.
         """
-        from repro.solvers.registry import get_method, run_plain
-
-        if b is not None and np.ndim(b) == 2:
-            return self._solve_block(A, b, x0, method=method, eps=eps,
-                                     max_iters=max_iters, **kwargs)
-        runner = get_method(method)
-        if self.engine is None:
-            return run_plain(runner, A, b, x0, eps=eps, max_iters=max_iters, **kwargs)
         try:
             pmat = self.wrap_matrix(A)
-            return runner.protected(
-                pmat, b, x0, eps=eps, max_iters=max_iters,
-                engine=self.engine, vector_scheme=self.config.vector_scheme,
-                session=self, **kwargs,
-            )
-        except (DetectedUncorrectableError, BoundsViolationError):
-            self._release_all()
-            raise
-
-    def _solve_block(self, A, B, X0=None, *, method="cg", eps=1e-15,
-                     max_iters=10_000, **kwargs):
-        """Route a 2-D RHS block through the session's engine.
-
-        Mirrors :meth:`solve`: the blocked CG runner shares the session
-        engine (sweep deferred to :meth:`end_step`), anything the blocked
-        runner cannot take falls back to sequential per-column solves
-        under this same session, and an aborting integrity error releases
-        the whole deferral window before re-raising.
-        """
-        from repro.solvers.block import (
-            _sequential_block,
-            block_cg_solve,
-            block_solve_enabled,
-            protected_block_cg_run,
-        )
-
-        if method != "cg" or kwargs or not block_solve_enabled():
-            return _sequential_block(A, B, X0, method=method, protection=self,
-                                     eps=eps, max_iters=max_iters, **kwargs)
-        if self.engine is None:
-            plain_A = A.to_csr() if isinstance(A, ProtectedCSRMatrix) else A
-            return block_cg_solve(plain_A, B, X0, eps=eps, max_iters=max_iters)
-        try:
-            pmat = self.wrap_matrix(A)
-            return protected_block_cg_run(
-                pmat, B, X0, eps=eps, max_iters=max_iters,
-                engine=self.engine, vector_scheme=self.config.vector_scheme,
-                session=self,
+            return runner(
+                pmat, b, x0, engine=self.engine,
+                vector_scheme=self.config.vector_scheme, session=self, **kwargs,
             )
         except (DetectedUncorrectableError, BoundsViolationError):
             self._release_all()

@@ -85,6 +85,11 @@ class ProtectedVector:
         return self.raw.size
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the iterate the flat codeword store holds."""
+        return self.raw.shape
+
+    @property
     def n_codewords(self) -> int:
         """Grouped codewords plus per-element SED tail codewords."""
         return self._n_grouped // self.group + (self.raw.size - self._n_grouped)
@@ -545,14 +550,19 @@ class ProtectedBlockVector(ProtectedVector):
         self.block_shape = block.shape
         super().__init__(block.reshape(-1), scheme, crc_mode)
 
-    def values2d(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Computation-ready ``(k, n)`` copy (reserved LSBs masked)."""
-        flat = None if out is None else out.reshape(-1)
-        return self.values(out=flat).reshape(self.block_shape)
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The ``(k, n)`` shape of the blocked iterate."""
+        return self.block_shape
 
-    def view2d(self) -> np.ndarray:
+    def view(self) -> np.ndarray:
         """The cached read-only plain view, shaped ``(k, n)``."""
-        return self.view().reshape(self.block_shape)
+        return super().view().reshape(self.block_shape)
+
+    def store(self, new_values: np.ndarray,
+              window: tuple[int, int] | None = None, defer: bool = False) -> None:
+        """Commit a ``(k, n)`` iterate (or a flat ``window`` of it)."""
+        super().store(np.asarray(new_values).reshape(-1), window=window, defer=defer)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -34,10 +34,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-pending", type=int, default=0,
                         help="admission quota: reject new jobs while this "
                              "many are queued (0 = unlimited)")
-    parser.add_argument("--no-block-solve", action="store_true",
-                        help="serve every job as its own solve instead of "
-                             "grouping compatible CG jobs into blocked "
-                             "multi-RHS solves")
 
 
 def run(args) -> int:
@@ -50,7 +46,6 @@ def run(args) -> int:
         throttle=args.throttle,
         dist_shards=args.dist_shards, dist_threshold=args.dist_threshold,
         max_pending=args.max_pending,
-        block_solve=not args.no_block_solve,
     )
     try:
         asyncio.run(run_server(args.host, args.port, config))

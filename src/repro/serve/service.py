@@ -76,13 +76,6 @@ class ServeConfig:
         without bound.  ``0`` (default) disables the quota.  Cache hits
         and joins of identical in-flight jobs are never rejected — they
         add no queue pressure.
-    block_solve:
-        Serve compatible CG jobs of a batch as one blocked multi-RHS
-        solve (default on; see :func:`repro.serve.workers.run_batch`).
-        Per-job results are unchanged — this is purely a
-        verification/dispatch amortisation — so the job identity hash
-        never depends on it.  ``REPRO_BLOCK_SOLVE=0`` overrides it off
-        process-wide.
     """
 
     journal: str | None = None
@@ -93,7 +86,6 @@ class ServeConfig:
     dist_shards: int = 0
     dist_threshold: int = 4096
     max_pending: int = 0
-    block_solve: bool = True
 
 
 class SolveService:
@@ -294,7 +286,6 @@ class SolveService:
                             "throttle": self.config.throttle,
                             "dist_shards": self.config.dist_shards,
                             "dist_threshold": self.config.dist_threshold,
-                            "block_solve": self.config.block_solve,
                         },
                     ))
                     for job in chunk:

@@ -106,7 +106,7 @@ def _result_record(job: dict, result, duration_s: float, session,
     return record
 
 
-def _solve_blocked(group: list[dict], session, matrix_arg, config) -> list[dict]:
+def _solve_group(group: list[dict], session, matrix_arg, config) -> list[dict]:
     """Serve a group of compatible jobs as one blocked multi-RHS solve.
 
     The group shares the batch's matrix and protection by construction;
@@ -133,12 +133,10 @@ def _solve_blocked(group: list[dict], session, matrix_arg, config) -> list[dict]
     max_iters = [job["max_iters"] for job in group]
     t0 = time.perf_counter()
     before = _recovery_snapshot(session)
-    if session is not None:
-        result = session.solve(matrix_arg, B, X0, method="cg",
-                               eps=eps, max_iters=max_iters)
-    else:
-        result = repro.solve(matrix_arg, B, X0, method="cg", protection=config,
-                             eps=eps, max_iters=max_iters)
+    result = repro.solve(
+        matrix_arg, B, X0, method="cg", eps=eps, max_iters=max_iters,
+        protection=session if session is not None else config,
+    )
     duration = time.perf_counter() - t0
     records = []
     for col, job in enumerate(group):
@@ -176,16 +174,11 @@ def _solve_one(job: dict, session, matrix_arg, config) -> dict:
     x0 = np.asarray(job["x0"], dtype=np.float64) if job.get("x0") is not None else None
     t0 = time.perf_counter()
     before = _recovery_snapshot(session)
-    if session is not None:
-        result = session.solve(
-            matrix_arg, b, x0, method=job["method"],
-            eps=job["eps"], max_iters=job["max_iters"],
-        )
-    else:
-        result = repro.solve(
-            matrix_arg, b, x0, method=job["method"], protection=config,
-            eps=job["eps"], max_iters=job["max_iters"],
-        )
+    result = repro.solve(
+        matrix_arg, b, x0, method=job["method"],
+        eps=job["eps"], max_iters=job["max_iters"],
+        protection=session if session is not None else config,
+    )
     duration = time.perf_counter() - t0
     _probe(job["job_id"])
     return _result_record(job, result, duration, session, before)
@@ -304,7 +297,7 @@ def _solve_injected(job: dict, config) -> dict:
 
 def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
               dist_shards: int = 0, dist_threshold: int = 4096,
-              block_solve: bool = True, seed=None) -> dict:
+              seed=None) -> dict:
     """Serve one batch of same-matrix jobs; the executor's task runner.
 
     Parameters
@@ -325,20 +318,17 @@ def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
         ``dist_threshold`` rows run on the row-sharded distributed
         solver instead of the warm single-process session (see
         :func:`_routes_distributed`); everything else is untouched.
-    block_solve:
-        When true (the default, and ``REPRO_BLOCK_SOLVE`` is not ``0``),
-        two or more compatible jobs (see :func:`_blockable`) are served
-        as one blocked multi-RHS solve — verification and dispatch paid
-        once per iteration for the whole group, per-job records and
-        event streams unchanged.  An integrity error inside a blocked
-        group falls back to job-by-job solves so failures attribute to
-        the job that hit them.
     seed:
         Executor-owned seeding slot (unused: job randomness is explicit
         in each job's spec, so batches are reproducible by content).
-    """
-    from repro.solvers.block import block_solve_enabled
 
+    Two or more compatible jobs of a batch (see :func:`_blockable`) are
+    served as one blocked multi-RHS solve — verification and dispatch
+    paid once per iteration for the whole group, per-job records and
+    event streams unchanged.  An integrity error inside a blocked group
+    falls back to job-by-job solves so failures attribute to the job
+    that hit them.
+    """
     del seed
     records_by_id: dict[str, dict] = {}
     config = protection_from_spec(protection)
@@ -360,7 +350,7 @@ def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
 
     group: list[dict] = []
     rest: list[dict] = jobs
-    if block_solve and block_solve_enabled() and throttle <= 0.0:
+    if throttle <= 0.0:
         group = [j for j in jobs
                  if _blockable(j, dist_shards, dist_threshold)]
         if len(group) >= 2:
@@ -370,7 +360,7 @@ def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
     if group:
         try:
             session, matrix_arg = _acquire()
-            for record in _solve_blocked(group, session, matrix_arg, config):
+            for record in _solve_group(group, session, matrix_arg, config):
                 records_by_id[record["job_id"]] = record
             blocked_jobs = len(group)
         except _INTEGRITY_ERRORS:

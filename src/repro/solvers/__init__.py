@@ -9,21 +9,15 @@ name in :mod:`repro.solvers.registry` and dispatched by
 """
 
 from repro.solvers.base import SolverResult, LinearOperator, as_operator
-from repro.solvers.block import (
-    BlockResult,
-    block_cg_solve,
-    block_solve_enabled,
-    protected_block_cg_run,
-    solve_block,
-)
-from repro.solvers.cg import cg_solve, protected_cg_run, protected_cg_solve
+from repro.solvers.block import BlockResult, protected_block_cg_run
+from repro.solvers.cg import cg_solve, protected_cg_run
 from repro.solvers.jacobi import jacobi_solve, protected_jacobi_run
 from repro.solvers.chebyshev import (
     chebyshev_solve,
     estimate_eigenvalue_bounds,
     protected_chebyshev_run,
 )
-from repro.solvers.ppcg import ppcg_solve, protected_ppcg_run, protected_ppcg_solve
+from repro.solvers.ppcg import ppcg_solve, protected_ppcg_run
 from repro.solvers.preconditioner import JacobiPreconditioner, IdentityPreconditioner
 from repro.solvers.toolkit import ProtectedIteration, resolve_schedule
 from repro.solvers.registry import (
@@ -39,13 +33,9 @@ __all__ = [
     "LinearOperator",
     "as_operator",
     "BlockResult",
-    "block_cg_solve",
-    "block_solve_enabled",
     "protected_block_cg_run",
-    "solve_block",
     "cg_solve",
     "protected_cg_run",
-    "protected_cg_solve",
     "jacobi_solve",
     "protected_jacobi_run",
     "chebyshev_solve",
@@ -53,7 +43,6 @@ __all__ = [
     "protected_chebyshev_run",
     "ppcg_solve",
     "protected_ppcg_run",
-    "protected_ppcg_solve",
     "JacobiPreconditioner",
     "IdentityPreconditioner",
     "ProtectedIteration",

@@ -10,10 +10,11 @@ it across all ``k`` columns — the classic ABFT block-operation argument
 (Bosilca et al., arXiv:0806.3121) applied to the paper's protected
 solver stack:
 
-* the matrix product becomes one fused blocked SpMV
-  (:meth:`~repro.protect.matrix.ProtectedCSRMatrix.spmv_verified_multi`)
-  that syndromes each ``(value, colidx)`` codeword chunk **once** and
-  feeds its decoded element to all ``k`` gathers;
+* the matrix product is the same rank-polymorphic fused SpMV the
+  single-RHS solve uses
+  (:meth:`~repro.protect.matrix.ProtectedCSRMatrix.spmv_verified` over a
+  ``(k, n)`` operand): each ``(value, colidx)`` codeword chunk is
+  syndromed **once** and its decoded element feeds all ``k`` gathers;
 * the solver state lives in
   :class:`~repro.protect.vector.ProtectedBlockVector` stores — one
   dirty-window schedule, one cache populate, one scheduled check per
@@ -35,30 +36,24 @@ keep full protection but build codewords that straddle column
 boundaries when ``n`` is not a multiple of the group — a documented
 deviation (results still match; only the codeword partition differs).
 
-``REPRO_BLOCK_SOLVE=0`` disables the blocked path everywhere
-(:func:`block_solve_enabled`); callers then fall back to the sequential
-per-column loop with identical per-column results.
+The unprotected blocked solve is this same runner under the null codec
+(:meth:`~repro.protect.config.ProtectionConfig.off`), so its columns are
+bitwise :func:`~repro.solvers.cg.cg_solve` too.  The single-RHS runner
+stays a separate recurrence body: at ``k = 1`` the per-column masking
+here costs ~1.2x on a cache-resident system, so :func:`repro.solve`
+picks the body from the rank of ``b``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 
-from repro.backends.base import CHUNK
-from repro.csr.spmv import spmm
 from repro.errors import ConfigurationError
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.protect.session import ProtectionSession
-from repro.solvers.base import SolverResult, as_operator
+from repro.solvers.base import SolverResult
 from repro.solvers.toolkit import ProtectedIteration
-
-
-def block_solve_enabled() -> bool:
-    """True unless ``REPRO_BLOCK_SOLVE=0`` disables the blocked path."""
-    return os.environ.get("REPRO_BLOCK_SOLVE", "1") != "0"
 
 
 @dataclasses.dataclass
@@ -130,130 +125,6 @@ def _block_x0(X0, k: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(X0.T)
 
 
-def _make_block_matvec(A, k: int, n_rows: int):
-    """A ``(k, n) -> (k, n_rows)`` blocked product closure for plain solves.
-
-    CSR-backed operators run the blocked gather kernel through
-    persistent scratch (row ``j`` bitwise equal to ``A.matvec(X[j])``);
-    anything else falls back to ``k`` per-row matvecs — still exactly
-    the single-RHS arithmetic, just without the shared gather.
-    """
-    values = getattr(A, "values", None)
-    colidx = getattr(A, "colidx", None)
-    rowptr = getattr(A, "rowptr", None)
-    if (
-        values is not None and colidx is not None and rowptr is not None
-        and not isinstance(A, ProtectedCSRMatrix)
-    ):
-        if colidx.dtype != np.int64:
-            colidx = colidx.astype(np.int64)
-        if rowptr.dtype != np.int64:
-            rowptr = rowptr.astype(np.int64)
-        products = np.empty((k, values.size), dtype=np.float64)
-        tile = np.empty(k * min(CHUNK, max(values.size, 1)), dtype=np.float64)
-        lengths = np.empty(n_rows, dtype=np.int64)
-
-        def matmat(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-            return spmm(values, colidx, rowptr, X, n_rows, out=out,
-                        products=products, tile=tile, lengths=lengths)
-
-        return matmat
-
-    op = as_operator(A)
-
-    def matmat(X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for j in range(X.shape[0]):
-            out[j] = op.matvec(X[j])
-        return out
-
-    return matmat
-
-
-def block_cg_solve(
-    A,
-    B: np.ndarray,
-    X0: np.ndarray | None = None,
-    *,
-    eps: float = 1e-15,
-    max_iters: int = 10_000,
-) -> BlockResult:
-    """Unprotected blocked CG over a ``(n, k)`` right-hand-side block.
-
-    Column ``j`` replicates :func:`~repro.solvers.cg.cg_solve` (identity
-    preconditioner) bitwise: same residual recurrence, same
-    ``norm(r)**2 < eps`` convergence test, same zero-curvature
-    breakdown.  ``eps``/``max_iters`` may be scalars or length-``k``
-    sequences for per-column targets.
-    """
-    if isinstance(A, ProtectedCSRMatrix):
-        A = A.to_csr()
-    Bt = _block_rhs(B)
-    k, n = Bt.shape
-    eps_c = _per_column(eps, k, "eps")
-    mi_c = _per_column(max_iters, k, "max_iters").astype(np.int64)
-    matmat = _make_block_matvec(A, k, n)
-
-    X = _block_x0(X0, k, n)
-    W = np.empty((k, n), dtype=np.float64)
-    R = Bt - matmat(X, W)
-    # Identity preconditioner: z is r itself, so rz == dot(r, r) and the
-    # search-direction update reads p = r + beta * p, as in cg_solve.
-    P = R.copy()
-    rz = np.array([float(np.dot(R[j], R[j])) for j in range(k)])
-    norms = [[float(np.linalg.norm(R[j]))] for j in range(k)]
-    converged = np.array([norms[j][0] ** 2 < eps_c[j] for j in range(k)])
-    broken = np.zeros(k, dtype=bool)
-    iters = np.zeros(k, dtype=np.int64)
-
-    while True:
-        active = ~converged & ~broken & (iters < mi_c)
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        matmat(P, W)
-        pw = np.zeros(k)
-        for j in idx:
-            pw[j] = float(np.dot(P[j], W[j]))
-        dead = idx[pw[idx] == 0.0]
-        if dead.size:
-            # Zero curvature: cg_solve breaks before touching x/r, so
-            # these columns freeze at their pre-iteration state.
-            broken[dead] = True
-            idx = idx[pw[idx] != 0.0]
-        if idx.size == 0:
-            continue
-        alpha = rz[idx] / pw[idx]
-        if idx.size == k:
-            X += alpha[:, None] * P
-            R -= alpha[:, None] * W
-        else:
-            X[idx] += alpha[:, None] * P[idx]
-            R[idx] -= alpha[:, None] * W[idx]
-        cont = []
-        rz_new = np.zeros(k)
-        for j in idx:
-            rz_new[j] = float(np.dot(R[j], R[j]))
-            norms[j].append(float(np.linalg.norm(R[j])))
-            iters[j] += 1
-            if norms[j][-1] ** 2 < eps_c[j]:
-                converged[j] = True
-            else:
-                cont.append(int(j))
-        if cont:
-            cidx = np.asarray(cont)
-            beta = rz_new[cidx] / rz[cidx]
-            P[cidx] = R[cidx] + beta[:, None] * P[cidx]
-            rz[cidx] = rz_new[cidx]
-
-    return BlockResult(
-        x=np.ascontiguousarray(X.T),
-        iterations=iters,
-        converged=converged,
-        residual_norms=norms,
-        info={"block_width": k},
-    )
-
-
 def protected_block_cg_run(
     matrix: ProtectedCSRMatrix,
     B: np.ndarray,
@@ -266,14 +137,16 @@ def protected_block_cg_run(
     engine=None,
     session=None,
 ) -> BlockResult:
-    """Fully protected blocked CG: one verification schedule for k systems.
+    """Blocked CG over a ``(n, k)`` block: one verification schedule for k systems.
 
     Column ``j`` replicates :func:`~repro.solvers.cg.protected_cg_run`
-    bitwise (under a fresh engine with a group-1 vector scheme): the
-    blocked iterate makes exactly one engine matrix access per iteration
-    — the same due pattern as a solo solve — and a due access runs the
-    fused blocked kernel, verifying every codeword once for all ``k``
-    products.  Frozen (converged or broken-down) columns have their rows
+    bitwise (under a fresh engine with a group-1 vector scheme, or the
+    null codec): the blocked iterate makes exactly one engine matrix
+    access per iteration — the same due pattern as a solo solve — and a
+    due access runs the fused kernel over the whole block, verifying
+    every codeword once for all ``k`` products.  ``eps``/``max_iters``
+    may be scalars or length-``k`` sequences for per-column targets.
+    Frozen (converged or broken-down) columns have their rows
     of ``x``/``r``/``p`` carried verbatim through each commit while the
     stragglers iterate.  DUE recovery mirrors the single-RHS runner:
     repair/rollback through the context, then restart the recurrence for
@@ -288,11 +161,11 @@ def protected_block_cg_run(
         session=session,
     )
     n = ctx.n
-    X = ctx.wrap_block(_block_x0(X0, k, n), "x")
-    R0 = Bt - ctx.initial_spmm(ctx.read_block(X))
-    R = ctx.wrap_block(R0, "r")
-    P = ctx.wrap_block(R0, "p")
-    Rv = ctx.read_block(R)
+    X = ctx.wrap(_block_x0(X0, k, n), "x")
+    R0 = Bt - ctx.initial_spmv(ctx.read(X))
+    R = ctx.wrap(R0, "r")
+    P = ctx.wrap(R0, "p")
+    Rv = ctx.read(R)
     rr = np.array([float(np.dot(Rv[j], Rv[j])) for j in range(k)])
     norms = [[float(np.sqrt(rr[j]))] for j in range(k)]
     converged = rr < eps_c
@@ -308,8 +181,8 @@ def protected_block_cg_run(
                     break
                 ctx.begin_iteration()
                 idx = np.flatnonzero(active)
-                P_val = ctx.read_block(P)
-                W = ctx.spmm(P_val, out=ctx.spmm_out(k))
+                P_val = ctx.read(P)
+                W = ctx.spmv(P_val, out=ctx.spmv_out((k,)))
                 pw = np.zeros(k)
                 for j in idx:
                     pw[j] = float(np.dot(P_val[j], W[j]))
@@ -320,8 +193,8 @@ def protected_block_cg_run(
                 if idx.size == 0:
                     continue
                 alpha = rr[idx] / pw[idx]
-                Xv = ctx.read_block(X)
-                Rv = ctx.read_block(R)
+                Xv = ctx.read(X)
+                Rv = ctx.read(R)
                 if idx.size == k:
                     X_new = Xv + alpha[:, None] * P_val
                     R_new = Rv - alpha[:, None] * W
@@ -332,8 +205,8 @@ def protected_block_cg_run(
                     X_new[idx] = Xv[idx] + alpha[:, None] * P_val[idx]
                     R_new = np.array(Rv)
                     R_new[idx] = Rv[idx] - alpha[:, None] * W[idx]
-                X = ctx.write_block(X, X_new)
-                R = ctx.write_block(R, R_new)
+                X = ctx.write(X, X_new)
+                R = ctx.write(R, R_new)
                 step += 1
                 cont = []
                 rr_new = np.zeros(k)
@@ -353,11 +226,11 @@ def protected_block_cg_run(
                     else:
                         P_new = np.array(P_val)
                         P_new[cidx] = R_new[cidx] + beta[:, None] * P_val[cidx]
-                    P = ctx.write_block(P, P_new)
+                    P = ctx.write(P, P_new)
                     rr[cidx] = rr_new[cidx]
                 ctx.maybe_checkpoint(step, iters=[int(v) for v in iters])
 
-            X_final = ctx.value_of_block(X)
+            X_final = ctx.value_of(X)
             ctx.finish()
             break
         except ctx.RECOVERABLE as exc:
@@ -368,9 +241,9 @@ def protected_block_cg_run(
             # Restart the recurrence for every column from the
             # authoritative iterate block, exactly as the single-RHS
             # runner restarts from x.
-            R_val = Bt - ctx.spmm(ctx.read_block(X))
-            R = ctx.write_block(R, R_val)
-            P = ctx.write_block(P, R_val)
+            R_val = Bt - ctx.spmv(ctx.read(X))
+            R = ctx.write(R, R_val)
+            P = ctx.write(P, R_val)
             broken[:] = False
             for j in range(k):
                 rr[j] = float(np.dot(R_val[j], R_val[j]))
@@ -391,15 +264,13 @@ def _sequential_block(
 ) -> BlockResult:
     """The per-column fallback: ``k`` single-RHS solves, assembled as a block.
 
-    Used when the blocked path is disabled (``REPRO_BLOCK_SOLVE=0``),
-    the method has no blocked runner, or method-specific kwargs are in
-    play.  Results are definitionally identical to solo solves.
+    Used when the method has no blocked runner, method-specific kwargs
+    are in play, or the operator is not CSR storage.  Results are
+    definitionally identical to solo solves.
     """
     from repro.solvers.registry import solve as _solve
 
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2:
-        raise ConfigurationError("blocked solves expect a 2-D RHS block")
+    B = _block_rhs(B).T
     k = B.shape[1]
     eps_c = _per_column(eps, k, "eps")
     mi_c = _per_column(max_iters, k, "max_iters").astype(np.int64)
@@ -426,39 +297,4 @@ def _block_from_columns(columns: list[SolverResult]) -> BlockResult:
             "sequential_fallback": True,
             "columns": [dict(c.info) for c in columns],
         },
-    )
-
-
-def solve_block(
-    A,
-    B: np.ndarray,
-    X0: np.ndarray | None = None,
-    *,
-    method: str = "cg",
-    protection=None,
-    eps: float = 1e-15,
-    max_iters: int = 10_000,
-    **kwargs,
-) -> BlockResult:
-    """Dispatch a multi-RHS solve: blocked CG when possible, sequential otherwise.
-
-    The 2-D counterpart of :func:`repro.solve` (which routes here when
-    ``b.ndim == 2``).  The blocked runners cover CG without
-    method-specific kwargs; anything else — other methods,
-    preconditioners, ``REPRO_BLOCK_SOLVE=0`` — falls back to ``k``
-    sequential single-RHS solves with identical per-column results.
-    """
-    if isinstance(protection, ProtectionSession):
-        return protection.solve(A, B, X0, method=method, eps=eps,
-                                max_iters=max_iters, **kwargs)
-    if method != "cg" or kwargs or not block_solve_enabled():
-        return _sequential_block(A, B, X0, method=method, protection=protection,
-                                 eps=eps, max_iters=max_iters, **kwargs)
-    if protection is None or not protection.enabled:
-        plain_A = A.to_csr() if isinstance(A, ProtectedCSRMatrix) else A
-        return block_cg_solve(plain_A, B, X0, eps=eps, max_iters=max_iters)
-    pmat = protection.wrap_matrix(A)
-    return protected_block_cg_run(
-        pmat, B, X0, eps=eps, max_iters=max_iters,
-        engine=protection.engine(), vector_scheme=protection.vector_scheme,
     )

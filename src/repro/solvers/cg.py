@@ -3,8 +3,11 @@
 Two drivers:
 
 * :func:`cg_solve` — textbook (optionally preconditioned) CG over any
-  :class:`~repro.solvers.base.LinearOperator`;
-* :func:`protected_cg_run` — the fully-ABFT variant: the matrix is a
+  :class:`~repro.solvers.base.LinearOperator`: the reference the bitwise
+  tests compare against, and the path for non-CSR operators and
+  ``preconditioner=``;
+* :func:`protected_cg_run` — the pipeline every CG on CSR storage runs
+  through, whatever the codec: the matrix is a
   :class:`~repro.protect.matrix.ProtectedCSRMatrix` verified per the
   check policy before each SpMV, and the solver state vectors (x, r, p)
   live in :class:`~repro.protect.vector.ProtectedVector` containers.
@@ -14,20 +17,17 @@ Two drivers:
   reads are cached decode-free views, writes are (optionally
   dirty-window buffered) whole-codeword commits, and integrity checks
   run on the policy's amortised schedule with a mandatory end-of-step
-  sweep.
+  sweep.  Under :meth:`ProtectionConfig.off()
+  <repro.protect.config.ProtectionConfig.off>` every one of those is a
+  passthrough and the run is bitwise :func:`cg_solve` — the unprotected
+  baseline is this loop with a null codec, not a second solver.
 
 The protected variant also keeps the CG *alpha/beta* scalars out of
 protected storage, exactly as the kernels in the paper do (scalars live
 in registers).
-
-:func:`protected_cg_solve` survives as a deprecation shim forwarding to
-the solver registry — new code goes through ``repro.solve(A, b,
-method="cg", protection=...)`` or a ``ProtectionSession``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -182,21 +182,3 @@ def protected_cg_run(
         x=x_final, iterations=it, converged=converged,
         residual_norms=norms, info=ctx.info(),
     )
-
-
-def protected_cg_solve(matrix, b, x0=None, **kwargs) -> SolverResult:
-    """Deprecated alias for the registry's protected CG runner.
-
-    Use ``repro.solve(A, b, method="cg",
-    protection=ProtectionConfig(...))`` or a ``ProtectionSession``; this
-    shim keeps the pre-registry call sites working unchanged.
-    """
-    warnings.warn(
-        "protected_cg_solve() is deprecated; use repro.solve(A, b, method='cg', "
-        "protection=ProtectionConfig(...)) or ProtectionSession.solve()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.solvers.registry import get_method
-
-    return get_method("cg").protected(matrix, b, x0, **kwargs)

@@ -10,13 +10,10 @@ matrix and state vectors are protected and scheduled through the
 polynomial preconditioner runs sandboxed on plain working arrays (its
 input is a verified read and its output is committed through the engine,
 the "opaque preconditioner" treatment) with every inner SpMV still
-counted against the matrix check schedule.  :func:`protected_ppcg_solve`
-remains as a deprecation shim forwarding to the solver registry.
+counted against the matrix check schedule.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -193,20 +190,3 @@ def protected_ppcg_run(
         x=x_final, iterations=it, converged=converged, residual_norms=norms,
         info=ctx.info(inner_steps=inner_steps, eig_bounds=eig_bounds),
     )
-
-
-def protected_ppcg_solve(matrix, b, x0=None, **kwargs) -> SolverResult:
-    """Deprecated alias for the registry's protected PPCG runner.
-
-    Use ``repro.solve(A, b, method="ppcg",
-    protection=ProtectionConfig(...))`` or a ``ProtectionSession``.
-    """
-    warnings.warn(
-        "protected_ppcg_solve() is deprecated; use repro.solve(A, b, method='ppcg', "
-        "protection=ProtectionConfig(...)) or ProtectionSession.solve()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.solvers.registry import get_method
-
-    return get_method("ppcg").protected(matrix, b, x0, **kwargs)

@@ -13,7 +13,9 @@ protection plumbing:
 
 ``protection`` accepts:
 
-* ``None`` (or a disabled config) — the plain solver;
+* ``None`` (or a disabled config) — the unprotected baseline: for CG on
+  CSR storage the *same* runner under the null codec
+  (:meth:`ProtectionConfig.off`), for everything else the plain solver;
 * a :class:`~repro.protect.config.ProtectionConfig` — the matrix is
   wrapped per the config and a fresh deferred-verification engine runs
   the solve;
@@ -35,11 +37,13 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.csr.matrix import CSRMatrix
 from repro.errors import ConfigurationError
 from repro.protect.config import ProtectionConfig
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.session import ProtectionSession
 from repro.solvers.base import SolverResult, as_operator
+from repro.solvers.block import _sequential_block, protected_block_cg_run
 from repro.solvers.cg import cg_solve, protected_cg_run
 from repro.solvers.chebyshev import (
     chebyshev_solve,
@@ -93,7 +97,8 @@ def available_methods() -> tuple[str, ...]:
 
 def run_plain(runner: SolverMethod, A, b, x0=None, *,
               eps: float = 1e-15, max_iters: int = 10_000, **kwargs) -> SolverResult:
-    """The unprotected path, shared by :func:`solve` and the session.
+    """The plain runners: every method but CG, and CG on what the null
+    codec cannot wrap (non-CSR operators, ``preconditioner=``).
 
     A pre-wrapped protected matrix is decoded so the plain runner always
     sees CSR storage.
@@ -133,26 +138,36 @@ def solve(
     max_iters: int = 10_000,
     distributed: int | None = None,
     **kwargs,
-) -> SolverResult:
+):
     """Solve ``A x = b`` with any registered method under any protection.
+
+    The one routing function: normalise ``protection`` to a config (and
+    maybe a session), pick the engine (the session's, or a fresh one),
+    pick the runner from the rank of ``b``.  ``ProtectionSession.solve``
+    forwards here.
 
     Parameters
     ----------
     A:
-        A :class:`~repro.csr.matrix.CSRMatrix` (or operator for the
+        A :class:`~repro.csr.matrix.CSRMatrix` (or any operator, for the
         unprotected path).  A pre-wrapped
-        :class:`~repro.protect.matrix.ProtectedCSRMatrix` is used as-is
-        when protection is active (and decoded when it is not).
+        :class:`~repro.protect.matrix.ProtectedCSRMatrix` is used as-is.
     b:
-        The right-hand side.  A 2-D ``(n, k)`` block routes to the
-        blocked multi-RHS path (:func:`repro.solvers.block.solve_block`),
-        which amortises verification and dispatch across the ``k``
-        columns and returns a
-        :class:`~repro.solvers.block.BlockResult`.
+        The right-hand side.  A 2-D ``(n, k)`` block runs one blocked
+        CG (:func:`~repro.solvers.block.protected_block_cg_run`), which
+        amortises verification and dispatch across the ``k`` columns and
+        returns a :class:`~repro.solvers.block.BlockResult`; methods
+        without a blocked runner, and method-specific kwargs, fall back
+        to ``k`` sequential solves with identical per-column results.
     protection:
-        ``None`` for the plain solver, a :class:`ProtectionConfig` for a
-        one-shot protected solve, or a :class:`ProtectionSession` to run
-        under a shared cross-solve engine.
+        ``None`` (or a disabled config) for the unprotected baseline, a
+        :class:`ProtectionConfig` for a one-shot protected solve, or a
+        :class:`ProtectionSession` to run under a shared cross-solve
+        engine.  Unprotected CG on CSR storage is not a second solver:
+        it runs the same runners under the null codec
+        (:meth:`ProtectionConfig.off`), bitwise equal to
+        :func:`~repro.solvers.cg.cg_solve`; other methods, non-CSR
+        operators and ``preconditioner=`` take the plain runners.
     distributed:
         Shard the solve across this many worker processes via
         :func:`repro.dist.solve.distributed_solve` (CG only; any
@@ -164,17 +179,13 @@ def solve(
         ``eig_bounds``, ``eig_min``/``eig_max``, ``check_every``;
         ``kill_plan``/``round_timeout`` for distributed solves).
     """
-    if b is not None and np.ndim(b) == 2:
-        if distributed:
+    blocked = b is not None and np.ndim(b) == 2
+    if distributed:
+        if blocked:
             raise ConfigurationError(
                 "distributed solves take a single right-hand side; solve "
                 "the block's columns separately or drop distributed="
             )
-        from repro.solvers.block import solve_block
-
-        return solve_block(A, b, x0, method=method, protection=protection,
-                           eps=eps, max_iters=max_iters, **kwargs)
-    if distributed:
         if isinstance(protection, ProtectionSession):
             raise ConfigurationError(
                 "distributed solves take a ProtectionConfig (or None); a "
@@ -186,15 +197,32 @@ def solve(
             A, b, x0, n_shards=int(distributed), method=method,
             protection=protection, eps=eps, max_iters=max_iters, **kwargs,
         )
-    if isinstance(protection, ProtectionSession):
-        return protection.solve(A, b, x0, method=method, eps=eps,
-                                max_iters=max_iters, **kwargs)
-    runner = get_method(method)
-    if protection is None or not protection.enabled:
-        return run_plain(runner, A, b, x0, eps=eps, max_iters=max_iters, **kwargs)
-    pmat = protection.wrap_matrix(A)
-    return runner.protected(
+    session = protection if isinstance(protection, ProtectionSession) else None
+    config = session.config if session is not None else protection
+    if config is None or not config.enabled:
+        # Unprotected: CG on CSR storage runs the same runners under the
+        # null codec; anything else takes the method's plain runner.
+        session = None
+        null_codec = (method == "cg" and not kwargs
+                      and isinstance(A, (CSRMatrix, ProtectedCSRMatrix)))
+        config = ProtectionConfig.off() if null_codec else None
+    if blocked and (method != "cg" or kwargs or config is None):
+        return _sequential_block(A, b, x0, method=method, protection=protection,
+                                 eps=eps, max_iters=max_iters, **kwargs)
+    if config is None:
+        return run_plain(get_method(method), A, b, x0, eps=eps,
+                         max_iters=max_iters, **kwargs)
+    runner = protected_block_cg_run if blocked else get_method(method).protected
+    if session is not None:
+        return session.run(runner, A, b, x0, eps=eps, max_iters=max_iters,
+                           **kwargs)
+    if config.enabled or isinstance(A, ProtectedCSRMatrix):
+        pmat = config.wrap_matrix(A)
+    else:
+        # Nothing writes through this solve-local wrap (no injection, no
+        # re-encode), so the null codec may share the caller's arrays.
+        pmat = ProtectedCSRMatrix._alias(A)
+    return runner(
         pmat, b, x0, eps=eps, max_iters=max_iters,
-        engine=protection.engine(), vector_scheme=protection.vector_scheme,
-        **kwargs,
+        engine=config.engine(), vector_scheme=config.vector_scheme, **kwargs,
     )

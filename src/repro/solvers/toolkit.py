@@ -141,7 +141,6 @@ class ProtectedIteration:
         self._state: list[ProtectedVector] = []
         self._named_state: list[tuple[str, ProtectedVector]] = []
         self._spmv_out: np.ndarray | None = None
-        self._spmm_out: np.ndarray | None = None
         #: True when due matrix checks run fused inside the engine's SpMVs.
         #: Requires both the policy knob and a matrix/backend pair that
         #: supports the fused kernel — non-fusible schemes (sed, crc32c,
@@ -203,13 +202,18 @@ class ProtectedIteration:
 
     # -- state-vector plumbing ------------------------------------------
     def wrap(self, values: np.ndarray, name: str):
-        """Protect a state vector (or copy it plain when vectors are off)."""
+        """Protect a state iterate (or copy it plain when vectors are off).
+
+        A 1-D iterate goes behind a :class:`ProtectedVector`; a blocked
+        ``(k, n)`` iterate behind one :class:`ProtectedBlockVector`, so
+        all ``k`` columns share one dirty window, one scheduled check
+        and one cache populate regardless of the block width.
+        """
+        values = np.asarray(values, dtype=np.float64)
         if not self.protect_vectors:
-            return np.array(values, dtype=np.float64, copy=True)
-        vec = self.engine.register(
-            ProtectedVector(np.asarray(values, dtype=np.float64), self.vector_scheme),
-            name,
-        )
+            return values.copy()
+        store = ProtectedVector if values.ndim == 1 else ProtectedBlockVector
+        vec = self.engine.register(store(values, self.vector_scheme), name)
         self._state.append(vec)
         self._named_state.append((name, vec))
         if self.session is not None:
@@ -217,7 +221,8 @@ class ProtectedIteration:
         return vec
 
     def read(self, container) -> np.ndarray:
-        """Decode-free engine read (identity for plain arrays)."""
+        """Decode-free engine read in the iterate's own shape (identity
+        for plain arrays)."""
         return self.engine.read(container) if self.protect_vectors else container
 
     def write(self, container, values: np.ndarray):
@@ -229,47 +234,9 @@ class ProtectedIteration:
 
     def value_of(self, container) -> np.ndarray:
         """The container's computation-ready values (final-result read)."""
-        return container.values() if self.protect_vectors else container
-
-    # -- blocked (multi-RHS) state plumbing -----------------------------
-    def wrap_block(self, values: np.ndarray, name: str):
-        """Protect a ``(k, n)`` blocked iterate behind one flat codeword store.
-
-        The blocked twin of :meth:`wrap`: all ``k`` columns of the
-        iterate share one :class:`ProtectedBlockVector` — one dirty
-        window, one scheduled check, one cache populate per iterate
-        regardless of the block width.
-        """
-        if not self.protect_vectors:
-            return np.array(values, dtype=np.float64, copy=True)
-        vec = self.engine.register(
-            ProtectedBlockVector(
-                np.asarray(values, dtype=np.float64), self.vector_scheme
-            ),
-            name,
-        )
-        self._state.append(vec)
-        self._named_state.append((name, vec))
-        if self.session is not None:
-            self.session.track(vec)
-        return vec
-
-    def read_block(self, container) -> np.ndarray:
-        """Decode-free ``(k, n)``-shaped engine read of a blocked iterate."""
         if not self.protect_vectors:
             return container
-        return self.engine.read(container).reshape(container.block_shape)
-
-    def write_block(self, container, values: np.ndarray):
-        """Commit a ``(k, n)`` iterate through the engine's write mode."""
-        if not self.protect_vectors:
-            return values
-        self.engine.write(container, np.asarray(values).reshape(-1))
-        return container
-
-    def value_of_block(self, container) -> np.ndarray:
-        """The blocked container's computation-ready ``(k, n)`` values."""
-        return container.values2d() if self.protect_vectors else container
+        return container.values().reshape(container.shape)
 
     # -- schedule hooks -------------------------------------------------
     def begin_iteration(self) -> None:
@@ -282,46 +249,26 @@ class ProtectedIteration:
         self.engine.begin_iteration()
 
     def spmv(self, x, out: np.ndarray | None = None) -> np.ndarray:
-        """``A @ x`` on the context's matrix through the engine schedule."""
+        """``A @ x`` on the context's matrix through the engine schedule.
+
+        ``x`` is a vector or a ``(k, n)`` block, one right-hand side per
+        row.
+        """
         return self.engine.spmv(self.matrix, x, out=out)
 
-    def spmv_out(self) -> np.ndarray:
+    def spmv_out(self, lead: tuple[int, ...] = ()) -> np.ndarray:
         """The context's persistent SpMV result buffer.
 
         For products whose result is consumed within the iteration (CG's
         ``w = A p``): pass as ``out=`` so the engine's inner loop never
-        allocates.  One buffer per context — don't use it for two
+        allocates.  ``lead`` is the operand's leading shape (``(k,)``
+        for a blocked iterate); the buffer is reallocated only when it
+        changes.  One buffer per context — don't use it for two
         overlapping products.
         """
-        if self._spmv_out is None:
-            self._spmv_out = np.empty(self.n, dtype=np.float64)
+        if self._spmv_out is None or self._spmv_out.shape[:-1] != lead:
+            self._spmv_out = np.empty(lead + (self.n,), dtype=np.float64)
         return self._spmv_out
-
-    def spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Blocked ``A @ X.T`` on the context's matrix through the engine."""
-        return self.engine.spmm(self.matrix, X, out=out)
-
-    def spmm_out(self, k: int) -> np.ndarray:
-        """The context's persistent ``(k, n)`` blocked-SpMV result buffer.
-
-        The blocked twin of :meth:`spmv_out`; reallocated only when the
-        block width changes.
-        """
-        if self._spmm_out is None or self._spmm_out.shape[0] != k:
-            self._spmm_out = np.empty((k, self.n), dtype=np.float64)
-        return self._spmm_out
-
-    def initial_spmm(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The blocked residual-seeding product ``A @ X0``, verification-aware.
-
-        Mirrors :meth:`initial_spmv`: fused solves route through the
-        engine so the first matrix consumption is a verified due
-        product; non-fused solves ride the up-front sweep and use a
-        plain unchecked blocked product.
-        """
-        if self.fused:
-            return self.engine.spmm(self.matrix, X, out=out)
-        return self.matrix.matvec_multi_unchecked(X, out=out)
 
     def ensure_verified(self) -> None:
         """Force the up-front matrix sweep if the fused schedule skipped it.

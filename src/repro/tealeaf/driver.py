@@ -33,16 +33,13 @@ a time), so the windowed encode path runs at scale in the assembly/commit
 loop rather than only in unit tests.
 
 The old eager ``ProtectedOperator`` fallback and its "vector protection
-is only implemented for the CG solver" restriction are gone; the
-``Protection`` dataclass survives only as a deprecation shim over
-:class:`~repro.protect.config.ProtectionConfig`.
+is only implemented for the CG solver" restriction are gone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 
 from repro.protect.config import ProtectionConfig
 from repro.protect.session import ProtectionSession
@@ -80,44 +77,6 @@ class RunSummary:
         return sum(s.iterations for s in self.steps)
 
 
-@dataclasses.dataclass
-class Protection:
-    """Deprecated ABFT configuration — use :class:`ProtectionConfig`.
-
-    Kept so pre-registry decks and scripts run unchanged; construction
-    emits a :class:`DeprecationWarning` and :meth:`to_config` maps onto
-    the unified config (``check_interval`` becomes ``interval``).
-    """
-
-    element_scheme: str | None = "secded64"
-    rowptr_scheme: str | None = "secded64"
-    vector_scheme: str | None = None
-    check_interval: int = 1
-    correct: bool = True
-
-    def __post_init__(self):
-        warnings.warn(
-            "tealeaf.driver.Protection is deprecated; use "
-            "repro.ProtectionConfig (check_interval is now interval)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @property
-    def protects_matrix(self) -> bool:
-        return self.element_scheme is not None or self.rowptr_scheme is not None
-
-    def to_config(self) -> ProtectionConfig:
-        """The equivalent :class:`ProtectionConfig`."""
-        return ProtectionConfig(
-            element_scheme=self.element_scheme,
-            rowptr_scheme=self.rowptr_scheme,
-            vector_scheme=self.vector_scheme,
-            interval=self.check_interval,
-            correct=self.correct,
-        )
-
-
 class TeaLeafDriver:
     """Runs a deck to completion, optionally under ABFT protection.
 
@@ -127,15 +86,12 @@ class TeaLeafDriver:
         The parsed TeaLeaf input deck (solver choice, grid, ``tl_*``
         engine knobs).
     protection:
-        A :class:`ProtectionConfig` (or legacy :class:`Protection`,
-        converted on entry), or ``None`` for an unprotected run.
+        A :class:`ProtectionConfig`, or ``None`` for an unprotected run.
     """
 
-    def __init__(self, deck: Deck, protection: ProtectionConfig | Protection | None = None):
+    def __init__(self, deck: Deck, protection: ProtectionConfig | None = None):
         self.deck = deck
         self.state = TeaLeafState(deck)
-        if isinstance(protection, Protection):
-            protection = protection.to_config()
         self.protection = protection
         self.session: ProtectionSession | None = None
         self._u_protected: ProtectedVector | None = None

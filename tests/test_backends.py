@@ -211,9 +211,10 @@ class TestNumbaParity:  # pragma: no cover - exercised only with numba
             for backend in (fused, numba_backend):
                 col64 = np.zeros(pmat.nnz, dtype=np.int64)
                 products = np.zeros(pmat.nnz, dtype=np.float64)
+                gather = np.empty(pmat.nnz, dtype=np.float64)
                 bad = backend.fused_gather_verify(
                     el.fused_code(), el.values, el.colidx, x,
-                    el.index_mask, pmat.n_cols, col64, products,
+                    el.index_mask, pmat.n_cols, col64, products, gather,
                 )
                 results.append((bad, col64, products))
             assert results[0][0] == results[1][0]

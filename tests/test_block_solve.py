@@ -6,13 +6,16 @@ The contracts pinned here (ISSUE 10):
   a group-1 vector scheme — is **bitwise identical** to the single-RHS
   solve of that column: same ``x``, same iteration count, same residual
   history;
-* the blocked fused kernel corrects an injected matrix flip for all
+* the kernels are rank-polymorphic — row ``j`` of a ``(k, n)`` product
+  is bitwise the 1-D product on ``X[j]``, clean or damaged, on every
+  scheme and backend — so an injected matrix flip is corrected for all
   ``k`` products at once, and damage confined to one column of a
   blocked vector store is repaired without perturbing the siblings;
 * the multi-RHS gather tile is persistent: a warm blocked verified
   product allocates nothing proportional to ``k * nnz``;
-* ``REPRO_BLOCK_SOLVE=0`` drops every entry point back to sequential
-  per-column solves with identical results;
+* methods without a blocked runner and method kwargs fall back to
+  sequential per-column solves; an empty block is rejected by every
+  entry the same way;
 * the serving layer groups compatible batch jobs into one blocked solve
   (visible in ``blocked_k`` / ``stats.blocked_jobs``) without changing
   any job's record, event stream shape, or cached identity — and the
@@ -42,8 +45,7 @@ from repro.serve.cache import MatrixCache, SessionPool
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.server import SolveServer
 from repro.serve.service import ServeConfig, SolveService
-from repro.solvers import BlockResult, cg_solve, solve_block
-from repro.solvers.block import block_solve_enabled
+from repro.solvers import BlockResult, cg_solve
 
 
 def make_matrix(n=12, seed=3):
@@ -66,31 +68,78 @@ PROTECTED_PRESETS = [
 
 
 # ---------------------------------------------------------------------------
-class TestKernelParity:
-    """spmv_verified_multi row j == spmv_verified of column j, bitwise."""
+SCHEMES = ["sed", "secded64", "secded128", "crc32c"]
 
-    @pytest.mark.parametrize("scheme", ["sed", "secded64", "secded128", "crc32c"])
-    def test_clean_blocked_product_matches_single(self, scheme):
-        matrix = make_matrix()
+
+def report_key(reports):
+    """What two verifications must agree on, region by region."""
+    return {
+        region: (r.ok, r.n_corrected, r.uncorrectable_indices().tolist())
+        for region, r in reports.items()
+    }
+
+
+def rank_parity_cell(scheme, backend, flips):
+    """One cell of the rank-parity table.
+
+    ``flips`` bits of one stored value are flipped, then the ``(k, n)``
+    call and the 1-D call on each ``X[j]`` (each on a fresh matrix, so
+    every call sees the same damage) must agree bitwise — products,
+    ``y is None`` on a DUE, and reports — for ``spmv_verified``; and
+    ``matvec_unchecked`` (which never verifies) must agree on the
+    products.  Returns the blocked reports for scheme-specific asserts.
+    """
+    matrix = make_matrix(seed=5)
+    X = np.random.default_rng(7).standard_normal((5, matrix.n_cols))
+
+    def damaged():
         pmat = ProtectedCSRMatrix(matrix, scheme, scheme)
-        X = np.random.default_rng(7).standard_normal((5, matrix.n_cols))
-        backend = backends.get_backend()
-        Y, reports = pmat.spmv_verified_multi(X, backend=backend)
-        assert reports["row_pointer"].ok and reports["csr_elements"].ok
-        for j in range(X.shape[0]):
-            solo = ProtectedCSRMatrix(matrix, scheme, scheme)
-            y, _ = solo.spmv_verified(X[j], backend=backend)
+        for bit in flips:
+            f64_to_u64(pmat.values)[17] ^= np.uint64(1) << np.uint64(bit)
+        return pmat
+
+    Y, reports = damaged().spmv_verified(X, backend=backend)
+    for j in range(X.shape[0]):
+        y, solo_reports = damaged().spmv_verified(X[j], backend=backend)
+        assert report_key(solo_reports) == report_key(reports)
+        if Y is None:
+            assert y is None
+        else:
             assert np.array_equal(Y[j], y)
+    U = damaged().matvec_unchecked(X, backend=backend)
+    for j in range(X.shape[0]):
+        assert np.array_equal(U[j], damaged().matvec_unchecked(X[j], backend=backend))
+    return Y, reports
+
+
+class TestKernelParity:
+    """Rank is data: row j of a ``(k, n)`` call is bitwise the 1-D call
+    on ``X[j]``, for every scheme on every available backend."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_clean_blocked_product_matches_single(self, scheme):
+        for name in backends.available_backends():
+            Y, reports = rank_parity_cell(scheme, backends.get_backend(name), ())
+            assert Y is not None
+            assert reports["row_pointer"].ok and reports["csr_elements"].ok
 
     def test_correctable_flip_repaired_for_all_columns(self):
+        """One flip: corrected where the scheme corrects, for every
+        column at once; two flips in one codeword: SECDED's DUE, no
+        product.  Either way both ranks tell the same story."""
         matrix = make_matrix(seed=5)
-        pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        X = np.random.default_rng(11).standard_normal((3, matrix.n_cols))
-        clean = np.stack([matrix.matvec(X[j]) for j in range(3)])
-        f64_to_u64(pmat.values)[17] ^= np.uint64(1) << np.uint64(40)
-        Y, reports = pmat.spmv_verified_multi(X, backend=backends.get_backend())
-        assert reports["csr_elements"].n_corrected == 1
-        assert np.array_equal(Y, clean)
+        X = np.random.default_rng(7).standard_normal((5, matrix.n_cols))
+        clean = np.stack([matrix.matvec(X[j]) for j in range(X.shape[0])])
+        for name in backends.available_backends():
+            backend = backends.get_backend(name)
+            for scheme in SCHEMES:
+                Y, reports = rank_parity_cell(scheme, backend, (40,))
+                if scheme.startswith("secded"):
+                    assert reports["csr_elements"].n_corrected == 1
+                    assert np.array_equal(Y, clean)
+                Y, reports = rank_parity_cell(scheme, backend, (40, 17))
+                if scheme.startswith("secded"):
+                    assert Y is None and not reports["csr_elements"].ok
 
     def test_multi_gather_tile_is_allocation_free_when_warm(self):
         """A warm blocked verified product must not allocate a fresh
@@ -101,10 +150,10 @@ class TestKernelParity:
         X = np.random.default_rng(0).standard_normal((k, matrix.n_cols))
         out = np.empty((k, pmat.n_rows))
         backend = backends.get_backend()
-        pmat.spmv_verified_multi(X, out=out, backend=backend)  # warm
+        pmat.spmv_verified(X, out=out, backend=backend)  # warm
         tracemalloc.start()
         for _ in range(3):
-            Y, reports = pmat.spmv_verified_multi(X, out=out, backend=backend)
+            Y, reports = pmat.spmv_verified(X, out=out, backend=backend)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert Y is out and reports["csr_elements"].ok
@@ -118,12 +167,12 @@ class TestBlockVector:
         block = np.random.default_rng(3).standard_normal((4, 33))
         pvec = ProtectedBlockVector(block, "secded64")
         assert pvec.block_shape == (4, 33)
-        assert pvec.values2d().shape == (4, 33)
+        assert pvec.shape == (4, 33)
+        decoded = pvec.values().reshape(pvec.shape)
         # secded64 keeps 56 mantissa bits: re-masking is idempotent and
         # uniform across columns.
         assert np.array_equal(
-            pvec.values2d(),
-            ProtectedBlockVector(pvec.values2d(), "secded64").values2d(),
+            decoded.reshape(-1), ProtectedBlockVector(decoded, "secded64").values()
         )
 
     def test_rejects_non_2d(self):
@@ -133,13 +182,13 @@ class TestBlockVector:
     def test_column_damage_does_not_perturb_siblings(self):
         block = np.random.default_rng(5).standard_normal((3, 40))
         pvec = ProtectedBlockVector(block, "secded64")
-        clean = pvec.values2d().copy()
+        clean = pvec.values()
         # Flip a protected mantissa bit inside column 1's row only.
         flat_index = 1 * 40 + 7
         f64_to_u64(pvec.raw)[flat_index] ^= np.uint64(1) << np.uint64(33)
         report = pvec.check(correct=True)
         assert report.ok and report.n_corrected == 1
-        assert np.array_equal(pvec.values2d(), clean)
+        assert np.array_equal(pvec.values(), clean)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +263,6 @@ class TestBlockedCGParity:
 
 # ---------------------------------------------------------------------------
 class TestDispatchFallbacks:
-    def test_env_gate_disables_blocking(self, monkeypatch):
-        A, B = make_block_system(k=3)
-        blocked = repro.solve(A, B, eps=1e-18)
-        monkeypatch.setenv("REPRO_BLOCK_SOLVE", "0")
-        assert not block_solve_enabled()
-        sequential = repro.solve(A, B, eps=1e-18)
-        assert sequential.info.get("sequential_fallback") is True
-        assert sequential.x.tobytes() == blocked.x.tobytes()
-        assert np.array_equal(sequential.iterations, blocked.iterations)
-
     def test_non_cg_method_falls_back_sequentially(self):
         A, B = make_block_system(k=2)
         res = repro.solve(A, B, method="jacobi", eps=1e-10, max_iters=20_000)
@@ -234,10 +273,18 @@ class TestDispatchFallbacks:
         from repro.solvers import JacobiPreconditioner
 
         A, B = make_block_system(k=2)
-        res = solve_block(A, B, eps=1e-12,
+        res = repro.solve(A, B, eps=1e-12,
                           preconditioner=JacobiPreconditioner(A.diagonal()))
         assert res.info.get("sequential_fallback") is True
         assert res.converged.all()
+
+    @pytest.mark.parametrize("extra", [
+        {}, {"method": "jacobi"}, {"protection": ProtectionConfig.deferred(16)},
+    ], ids=["blocked", "sequential", "protected"])
+    def test_empty_block_rejected_by_every_entry(self, extra):
+        A, _ = make_block_system()
+        with pytest.raises(ConfigurationError, match="k >= 1"):
+            repro.solve(A, np.zeros((A.n_rows, 0)), **extra)
 
     def test_column_accessor_shapes(self):
         A, B = make_block_system(k=3)
@@ -301,21 +348,12 @@ class TestServeBlockedBatches:
         serve_workers.CACHE, serve_workers.SESSIONS = MatrixCache(), SessionPool()
         solo_records = []
         for job in jobs:
-            solo, _, _ = run_service([job], block_solve=False)
+            solo, _, _ = run_service([job])
             solo_records.extend(solo)
         for got, want in zip(blocked, solo_records):
             assert got["job_id"] == want["job_id"]
             assert got["iterations"] == want["iterations"]
             assert got["x"] == want["x"]
-
-    def test_block_solve_off_serves_solo(self, fresh_workers):
-        jobs = [five_point_job(b_seed=i) for i in range(3)]
-        records, _, status = run_service(jobs, batch_window=0.05,
-                                         block_solve=False)
-        assert all(r["status"] == "done" for r in records)
-        assert status["stats"]["blocked_jobs"] == 0
-        assert not any("blocked_k" in r for r in records)
-        assert status["config"]["block_solve"] is False
 
     def test_injection_jobs_stay_private_while_siblings_block(self, fresh_workers):
         inject = five_point_job(b_seed=9, protection="paper_default",

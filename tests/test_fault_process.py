@@ -1,10 +1,12 @@
 """Poisson fault process and the faulty-solve driver."""
 
 import numpy as np
+import pytest
 
+from repro import ProtectionConfig, RecoveryPolicy
 from repro.csr import five_point_operator
-from repro.faults import PoissonProcess, faulty_cg_solve
-from repro.protect import CheckPolicy, ProtectedCSRMatrix
+from repro.faults import PoissonProcess, faulty_solve
+from repro.protect import ProtectedCSRMatrix
 
 
 def make_matrix(seed=0):
@@ -39,64 +41,75 @@ class TestPoissonProcess:
 
 
 class TestFaultyCGSolve:
+    """CG under a live matrix fault process, through ``faulty_solve``."""
+
+    @staticmethod
+    def run(scheme, b, proc, *, interval=1, **kwargs):
+        config = ProtectionConfig.matrix_only(scheme, interval=interval)
+        kwargs.setdefault("eps", 1e-20)
+        return faulty_solve(make_matrix(), b, proc, config=config, **kwargs)
+
     def test_no_faults_converges_normally(self):
-        matrix = make_matrix()
-        pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        b = np.random.default_rng(4).standard_normal(matrix.n_rows)
-        report = faulty_cg_solve(pmat, b, PoissonProcess(0.0), eps=1e-20)
+        b = np.random.default_rng(4).standard_normal(100)
+        report = self.run("secded64", b, PoissonProcess(0.0))
         assert report.result is not None and report.result.converged
         assert report.injected == 0
         assert report.all_accounted
 
     def test_secded_corrects_under_light_rate(self):
-        matrix = make_matrix()
-        pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        b = np.random.default_rng(5).standard_normal(matrix.n_rows)
+        b = np.random.default_rng(5).standard_normal(100)
         proc = PoissonProcess(3e-6, rng=np.random.default_rng(6))
-        report = faulty_cg_solve(pmat, b, proc, eps=1e-20)
+        report = self.run("secded64", b, proc)
         assert report.injected > 0
         assert report.corrected > 0
         assert report.all_accounted  # nothing silent at the end
 
     def test_sed_detects_and_recovers_by_reencode(self):
-        matrix = make_matrix()
-        pmat = ProtectedCSRMatrix(matrix, "sed", "sed")
-        b = np.random.default_rng(7).standard_normal(matrix.n_rows)
+        b = np.random.default_rng(7).standard_normal(100)
         proc = PoissonProcess(3e-6, rng=np.random.default_rng(8))
-        report = faulty_cg_solve(pmat, b, proc, eps=1e-20, on_due="reencode")
+        report = self.run("sed", b, proc, recovery=RecoveryPolicy(
+            "repopulate", max_retries=64))
         assert report.injected > 0
         assert report.detected_uncorrectable > 0
+        assert report.recovered > 0
         assert report.result is not None and report.result.converged
         assert report.all_accounted
 
     def test_abort_mode_stops(self):
-        matrix = make_matrix()
-        pmat = ProtectedCSRMatrix(matrix, "sed", "sed")
-        b = np.ones(matrix.n_rows)
         proc = PoissonProcess(5e-6, rng=np.random.default_rng(9))
-        report = faulty_cg_solve(pmat, b, proc, eps=1e-30, max_iters=200,
-                                 on_due="abort")
+        report = self.run("sed", np.ones(100), proc, eps=1e-30, max_iters=200,
+                          recovery="raise")
         assert report.detected_uncorrectable >= 1
         assert report.result is None
 
     def test_deferred_policy_end_of_step_sweep_catches(self):
         """With interval-N checks an error can lurk; the mandatory sweep
         at the end must still account for it (paper §VI.A.2)."""
-        matrix = make_matrix()
-        pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        b = np.random.default_rng(10).standard_normal(matrix.n_rows)
+        b = np.random.default_rng(10).standard_normal(100)
         proc = PoissonProcess(2e-6, rng=np.random.default_rng(11))
-        policy = CheckPolicy(interval=16, correct=True)
-        report = faulty_cg_solve(pmat, b, proc, eps=1e-20, policy=policy)
+        report = self.run("secded64", b, proc, interval=16)
         assert report.injected > 0
         assert report.all_accounted
 
     def test_injection_iterations_recorded(self):
-        matrix = make_matrix()
-        pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        b = np.ones(matrix.n_rows)
         proc = PoissonProcess(3e-6, rng=np.random.default_rng(12))
-        report = faulty_cg_solve(pmat, b, proc, eps=1e-20)
+        report = self.run("secded64", np.ones(100), proc)
         if report.injected:
             assert report.injection_iterations
             assert all(i >= 0 for i in report.injection_iterations)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # divergence overflow
+    def test_unprotected_run_leaves_the_source_matrix_pristine(self):
+        """Injection lands in the wrap's own copy — under ``off()`` too —
+        so the end-of-run comparison has a pristine reference."""
+        matrix = make_matrix()
+        before = [a.tobytes() for a in (matrix.values, matrix.colidx, matrix.rowptr)]
+        proc = PoissonProcess(2e-5, rng=np.random.default_rng(13))
+        report = faulty_solve(matrix, np.ones(100), proc, max_iters=60,
+                              config=ProtectionConfig.off())
+        assert report.injected > 0
+        assert before == [
+            a.tobytes() for a in (matrix.values, matrix.colidx, matrix.rowptr)
+        ]
+        if report.result is not None:
+            assert not report.all_accounted  # nothing embedded, nothing caught

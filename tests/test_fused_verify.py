@@ -309,13 +309,16 @@ class TestAllocationBounds:
             interval=64, fused_verify=True,
         )
         engine = config.engine()
-        x = np.random.default_rng(1).standard_normal(pmat.n_cols)
-        out = np.empty(pmat.n_rows)
-        engine.spmv(pmat, x, out=out)  # due: warms fused buffers
-        engine.spmv(pmat, x, out=out)  # non-due: warms snapshot path
-        tracemalloc.start()
-        for _ in range(3):
-            engine.spmv(pmat, x, out=out)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < pmat.nnz * 8 / 2, f"peak {peak} bytes"
+        # A vector, then a block: the operand's rank only sizes scratch.
+        for lead in ((), (4,)):
+            x = np.random.default_rng(1).standard_normal(lead + (pmat.n_cols,))
+            out = np.empty(lead + (pmat.n_rows,))
+            engine.policy.reset()
+            engine.spmv(pmat, x, out=out)  # due: warms fused buffers
+            engine.spmv(pmat, x, out=out)  # non-due: warms snapshot path
+            tracemalloc.start()
+            for _ in range(3):
+                engine.spmv(pmat, x, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak < pmat.nnz * 8 / 2, f"{lead}: peak {peak} bytes"

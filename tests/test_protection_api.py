@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.csr import five_point_operator
-from repro.errors import ConfigurationError
+from repro.errors import BoundsViolationError, ConfigurationError
 from repro.protect import (
     CheckPolicy,
     DeferredVerificationEngine,
@@ -21,7 +21,7 @@ from repro.protect import (
     ProtectionConfig,
     ProtectionSession,
 )
-from repro.solvers import available_methods, get_method, solve
+from repro.solvers import available_methods, cg_solve, get_method, solve
 
 METHODS = ("cg", "ppcg", "jacobi", "chebyshev")
 
@@ -159,7 +159,72 @@ class TestRegistry:
         A, b, x_true = make_system()
         res = solve(A, b, protection=ProtectionConfig.off(), eps=1e-24)
         assert np.allclose(res.x, x_true, atol=1e-8)
-        assert "full_checks" not in res.info
+        assert res.info["full_checks"] == 0 and res.info["vector_checks"] == 0
+
+    @pytest.mark.parametrize("protection", [None, ProtectionConfig.off()],
+                             ids=["none", "off"])
+    def test_unprotected_cg_is_the_one_pipeline_under_the_null_codec(
+            self, protection, monkeypatch):
+        """No protection is ``off()`` through ProtectedIteration and
+        engine.spmv — and still bitwise the textbook ``cg_solve``."""
+        A, b, _ = make_system()
+        products = []
+        spmv = DeferredVerificationEngine.spmv
+        monkeypatch.setattr(
+            DeferredVerificationEngine, "spmv",
+            lambda self, matrix, x, out=None: (
+                products.append(np.ndim(x)) or spmv(self, matrix, x, out=out)),
+        )
+        ref = cg_solve(A, b, eps=1e-24)
+        res = solve(A, b, protection=protection, eps=1e-24)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.iterations == ref.iterations
+        assert res.residual_norms == ref.residual_norms
+        assert products == [1] * ref.iterations
+        B = np.stack([b, 2.0 * b[::-1]], axis=1)
+        products.clear()
+        block = solve(A, B, protection=protection, eps=1e-24)
+        for j in range(2):
+            assert block.x[:, j].tobytes() == cg_solve(A, B[:, j], eps=1e-24).x.tobytes()
+        assert products == [2] * int(block.iterations.max())
+
+    @pytest.mark.parametrize("k", [None, 3], ids=["vector", "block"])
+    @pytest.mark.parametrize("damage", ["colidx", "rowptr_range", "rowptr_order"])
+    def test_null_codec_validates_indices_before_any_gather(
+            self, damage, k, monkeypatch):
+        """The kernels gather with ``np.take(mode="clip")``: the
+        once-per-population snapshot validation is all that stands
+        between a bad index and a silently wrong answer, and it must run
+        on the ``off()`` wrap exactly as on a protected one."""
+        from repro.csr.matrix import CSRMatrix
+
+        A, b, _ = make_system()
+        colidx, rowptr = A.colidx.copy(), A.rowptr.copy()
+        if damage == "colidx":
+            colidx[7] = A.n_cols
+        elif damage == "rowptr_range":
+            rowptr[-1] = A.nnz + 1
+        else:
+            rowptr[4], rowptr[5] = rowptr[5], rowptr[4]
+        bad = CSRMatrix(A.values, colidx, rowptr, A.shape, validate=False)
+        monkeypatch.setattr(np, "take", lambda *a, **kw: pytest.fail("gathered"))
+        rhs = b if k is None else np.stack([b] * k, axis=1)
+        with pytest.raises(BoundsViolationError):
+            solve(bad, rhs, eps=1e-24)
+
+    @pytest.mark.parametrize("schemes", [(None, None), (None, "sed"),
+                                         ("secded64", None)],
+                             ids=["off", "rowptr-only", "elements-only"])
+    def test_public_wrap_never_shares_the_callers_arrays(self, schemes):
+        """Fault harnesses inject in place into a wrapped matrix; only
+        ``repro.solve``'s own solve-local null wrap may alias."""
+        A, _, _ = make_system()
+        for pmat in (ProtectedCSRMatrix(A, *schemes),
+                     ProtectionConfig.off().wrap_matrix(A)):
+            for stored, source in ((pmat.values, A.values),
+                                   (pmat.colidx, A.colidx),
+                                   (pmat.rowptr, A.rowptr)):
+                assert not np.shares_memory(stored, source)
 
     def test_protected_matrix_decoded_for_plain_solve(self):
         A, b, x_true = make_system()

@@ -163,11 +163,16 @@ class TestOutcomeSplit:
         # trial lands in SILENT or RESIDUAL — the split under test.
         matrix = make_matrix(8)
         b = np.random.default_rng(6).standard_normal(matrix.n_rows)
+        source = (matrix.values, matrix.colidx, matrix.rowptr)
+        before = [a.tobytes() for a in source]
         result = run_solver_campaign(
             matrix, b, element_scheme=None, rowptr_scheme="sed",
             region=Region.VALUES, model=MultiBitFlip(k=3, spread=0),
             n_trials=30, seed=4, eps=1e-24, max_iters=400,
         )
+        # Trials inject into the wrap's own copy, never the caller's
+        # matrix: damage must not accumulate from one trial to the next.
+        assert before == [a.tobytes() for a in source]
         assert result.counts.get(Outcome.DETECTED, 0) == 0
         noticed_by_residual = result.counts.get(Outcome.RESIDUAL, 0)
         assert noticed_by_residual >= 1
