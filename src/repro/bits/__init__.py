@@ -19,7 +19,6 @@ from repro.bits.packing import (
     unpack_csr_element_lanes,
     pack_u32_lanes,
     unpack_u32_lanes,
-    pack_f64_lanes,
     bits_to_lane_masks,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "unpack_csr_element_lanes",
     "pack_u32_lanes",
     "unpack_u32_lanes",
-    "pack_f64_lanes",
     "bits_to_lane_masks",
 ]

@@ -102,16 +102,6 @@ def unpack_u32_lanes(lanes: np.ndarray, group: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def pack_f64_lanes(values: np.ndarray, group: int) -> np.ndarray:
-    """Pack groups of ``group`` consecutive doubles into (N, group) lanes."""
-    values = np.asarray(values, dtype=np.float64)
-    if group < 1:
-        raise ValueError("group must be >= 1")
-    if values.size % group:
-        raise ValueError(f"value count {values.size} not divisible by group {group}")
-    return f64_to_u64(values).reshape(-1, group).copy()
-
-
 def bits_to_lane_masks(positions: Iterable[int], n_lanes: int) -> np.ndarray:
     """Turn a set of physical bit positions into per-lane uint64 masks."""
     masks = np.zeros(n_lanes, dtype=np.uint64)

@@ -32,15 +32,21 @@ def _popcount64_swar(words: np.ndarray) -> np.ndarray:
 
 
 def popcount64(words: np.ndarray) -> np.ndarray:
-    """Per-element number of set bits of a uint64 array."""
-    words = np.asarray(words, dtype=np.uint64)
+    """Per-element number of set bits of an unsigned array (up to 64 bits wide).
+
+    Narrower unsigned dtypes are counted at their own width — no
+    widening copy — so a 32-bit index array costs a 32-bit pass.
+    """
+    words = np.asarray(words)
+    if words.dtype.kind != "u":
+        words = words.astype(np.uint64)
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(words)
     return _popcount64_swar(words)
 
 
 def parity64(words: np.ndarray) -> np.ndarray:
-    """Per-element parity (popcount mod 2) of a uint64 array, as uint8."""
+    """Per-element parity (popcount mod 2) of an unsigned array, as uint8."""
     return (popcount64(words) & np.uint8(1)).astype(np.uint8)
 
 

@@ -1,10 +1,14 @@
-"""Shared result types for integrity checks."""
+"""Shared result types and the lane-code protocol for integrity checks."""
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 
 import numpy as np
+
+from repro.bits.packing import bits_to_lane_masks
+from repro.errors import ConfigurationError
 
 
 class CodewordStatus(enum.IntEnum):
@@ -149,3 +153,65 @@ class CheckReport:
             f"CheckReport(n={self._n}, corrected={self.n_corrected}, "
             f"uncorrectable={self.n_uncorrectable})"
         )
+
+
+class LaneCode:
+    """A code bound to a physical bit layout over ``(N, L)`` uint64 lanes.
+
+    The one protocol every protected container speaks: a code is built
+    from ``(n_lanes, codeword_positions, check_positions)`` — which bits
+    of an ``L``-lane word it covers and which of those hold redundancy —
+    and answers ``encode`` / ``scan`` / ``detect`` / ``detect_report`` /
+    ``check_and_correct`` on a lane array, in place.  *Where* the lanes
+    come from (a column index's top byte, a mantissa's low bits) is the
+    layout's business (:mod:`repro.protect.codeword_store`); bits outside
+    ``codeword_positions`` (struct padding) are neither read nor written.
+
+    Subclasses: :class:`~repro.ecc.sed.SEDCode`,
+    :class:`~repro.ecc.hamming.SECDEDCode`,
+    :class:`~repro.ecc.crc_code.CRC32CCode`.
+    """
+
+    #: The guarantee per codeword: every pattern of up to ``corrects``
+    #: flips is repaired bitwise, every pattern of up to ``detects``
+    #: flips is reported (never a clean report over changed bits).
+    corrects = 0
+    detects = 0
+
+    def __init__(self, n_lanes: int, codeword_positions: Sequence[int],
+                 check_positions: Sequence[int], name: str):
+        self.name = name
+        self.n_lanes = int(n_lanes)
+        self.positions = sorted(int(p) for p in codeword_positions)
+        if len(set(self.positions)) != len(self.positions):
+            raise ConfigurationError(f"{name}: duplicate codeword positions")
+        #: Redundancy slots, in the order the code fills them.
+        self.check_positions = [int(p) for p in check_positions]
+        if len(set(self.check_positions)) != len(self.check_positions):
+            raise ConfigurationError(f"{name}: duplicate check positions")
+        covered = set(self.positions)
+        for p in self.check_positions:
+            if p not in covered:
+                raise ConfigurationError(f"{name}: check position {p} not in codeword")
+        self._all_mask = bits_to_lane_masks(self.positions, self.n_lanes)
+        self._check_mask = bits_to_lane_masks(self.check_positions, self.n_lanes)
+        #: Lanes that carry redundancy — the only ones an encode changes.
+        self.check_lanes = sorted({p >> 6 for p in self.check_positions})
+
+    def detect_report(self, lanes: np.ndarray) -> CheckReport:
+        """Detection-only :class:`CheckReport`; compact when clean.
+
+        The shared shape of every ``check(correct=False)``: corrupted
+        codewords come back UNCORRECTABLE, nothing is modified.
+        """
+        return CheckReport.from_flags(self.detect(lanes))
+
+    def _as_lanes(self, lanes: np.ndarray) -> np.ndarray:
+        lanes = np.asarray(lanes, dtype=np.uint64)
+        if lanes.ndim == 1:
+            lanes = lanes.reshape(-1, self.n_lanes)
+        if lanes.shape[-1] != self.n_lanes:
+            raise ValueError(
+                f"{self.name}: expected {self.n_lanes} lanes, got {lanes.shape[-1]}"
+            )
+        return lanes

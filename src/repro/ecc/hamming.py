@@ -56,7 +56,7 @@ import numpy as np
 from repro.backends import get_backend
 from repro.backends.base import SyndromeScratch
 from repro.bits.packing import bits_to_lane_masks
-from repro.ecc.base import CheckReport, CodewordStatus
+from repro.ecc.base import CheckReport, CodewordStatus, LaneCode
 from repro.errors import ConfigurationError
 
 _ONE = np.uint64(1)
@@ -74,7 +74,7 @@ def _min_syndrome_bits(n_total: int) -> int:
     return m
 
 
-class SECDEDCode:
+class SECDEDCode(LaneCode):
     """A shortened extended Hamming code bound to a physical bit layout.
 
     Parameters
@@ -95,6 +95,8 @@ class SECDEDCode:
         Human-readable label used in reprs and error messages.
     """
 
+    corrects, detects = 1, 2
+
     def __init__(
         self,
         n_lanes: int,
@@ -104,19 +106,8 @@ class SECDEDCode:
         min_syndrome_bits: int = 0,
         name: str = "secded",
     ):
-        self.name = name
-        self.n_lanes = int(n_lanes)
-        positions = sorted(int(p) for p in codeword_positions)
-        if len(set(positions)) != len(positions):
-            raise ConfigurationError(f"{name}: duplicate codeword positions")
-        check = [int(p) for p in check_positions]
-        if len(set(check)) != len(check):
-            raise ConfigurationError(f"{name}: duplicate check positions")
-        pos_set = set(positions)
-        for p in check:
-            if p not in pos_set:
-                raise ConfigurationError(f"{name}: check position {p} not in codeword")
-
+        super().__init__(n_lanes, codeword_positions, check_positions, name)
+        positions, check = self.positions, self.check_positions
         n_total = len(positions)
         m = max(_min_syndrome_bits(n_total), int(min_syndrome_bits))
         if len(check) < m + 1:
@@ -163,8 +154,6 @@ class SECDEDCode:
             self._full_masks[j] = self._data_masks[j] | bits_to_lane_masks(
                 [self.syndrome_slots[j]], self.n_lanes
             )
-        self._all_mask = bits_to_lane_masks(positions, self.n_lanes)
-        self._check_mask = bits_to_lane_masks(check, self.n_lanes)
 
         # Syndrome value -> physical bit position (or -1 = invalid).
         table = np.full(1 << m, -1, dtype=np.int32)
@@ -272,15 +261,3 @@ class SECDEDCode:
         double = (ptot == 0) & (syn != 0)
         status[double] = CodewordStatus.UNCORRECTABLE
         return CheckReport(status=status)
-
-    # ------------------------------------------------------------------
-    def _as_lanes(self, lanes: np.ndarray) -> np.ndarray:
-        lanes = np.asarray(lanes, dtype=np.uint64)
-        if lanes.ndim == 1:
-            lanes = lanes.reshape(-1, self.n_lanes)
-        if lanes.shape[-1] != self.n_lanes:
-            raise ValueError(
-                f"{self.name}: expected {self.n_lanes} lanes, got {lanes.shape[-1]}"
-            )
-        return lanes
-

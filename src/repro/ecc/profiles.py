@@ -1,21 +1,118 @@
-"""Concrete SECDED layouts used by the paper (Figs. 1-3).
+"""Concrete code layouts used by the paper (Figs. 1-3).
 
-Each factory returns a :class:`~repro.ecc.hamming.SECDEDCode` bound to the
-physical bit layout of one protected structure.  The redundancy budgets
-follow the paper exactly:
+Each factory returns a lane code (:class:`~repro.ecc.sed.SEDCode`,
+:class:`~repro.ecc.hamming.SECDEDCode` or
+:class:`~repro.ecc.crc_code.CRC32CCode`) bound to the physical bit
+layout of one protected structure; codes are cached process-wide
+singletons.  The redundancy budgets follow the paper exactly:
 
+* **SED** — one parity bit per codeword;
 * **SECDED64** — 8 check bits per 64-bit codeword;
 * **SECDED128** — 9 check bits per 128-bit codeword (the remaining
   reserved slots are protected constant-zero bits);
 * the CSR element code is the (96, 88) fit: 64 value bits + 24 index bits
-  protected by the index's top byte.
+  protected by the index's top byte;
+* **CRC32C** — 32 checksum bits split over the reserved bits of the
+  codeword's elements, first element first.
 """
 
 from __future__ import annotations
 
 import functools
 
+from repro.ecc.crc_code import CRC32CCode
 from repro.ecc.hamming import SECDEDCode
+from repro.ecc.sed import SEDCode
+
+
+@functools.lru_cache(maxsize=None)
+def sed_code(n_bits: int, parity_slot: int) -> SEDCode:
+    """SED over the first ``n_bits`` of a codeword, parity in ``parity_slot``.
+
+    Every SED layout of the paper is this with two numbers: a 96-bit CSR
+    element with parity in index bit 31 (slot 95), a 32-bit row-pointer
+    entry (slot 31), a double with parity in mantissa bit 0, ...
+    """
+    return SEDCode(-(-n_bits // 64), range(n_bits), [parity_slot],
+                   name=f"sed({n_bits},{n_bits - 1})")
+
+
+@functools.lru_cache(maxsize=None)
+def coo_split_sed() -> SEDCode:
+    """SED over one COO element on split lanes: value, row index, column index.
+
+    Parity in row-index bit 31; each 32-bit index is its own
+    (zero-extended) lane, so the element is checked with no packing.
+    """
+    return SEDCode(3, [*range(96), *range(128, 160)], [95], name="coo-split-sed")
+
+
+def _reserved(fields, lo: int, hi: int) -> list[int]:
+    """Bits ``lo..hi-1`` of each field, given the fields' bit offsets."""
+    return [base + bit for base in fields for bit in range(lo, hi)]
+
+
+@functools.lru_cache(maxsize=None)
+def vector_crc32c(mode: str = "2EC3ED") -> CRC32CCode:
+    """CRC32C over four doubles; CRC byte ``j`` in the low byte of double ``j``."""
+    return CRC32CCode(4, range(256), _reserved(range(0, 256, 64), 0, 8),
+                      mode=mode, name="vector-crc32c")
+
+
+@functools.lru_cache(maxsize=None)
+def rowptr_crc32c(mode: str = "2EC3ED") -> CRC32CCode:
+    """CRC32C over eight row-pointer entries; nibble ``e`` in entry ``e``'s top nibble."""
+    return CRC32CCode(4, range(256), _reserved(range(0, 256, 32), 28, 32),
+                      mode=mode, name="rowptr-crc32c")
+
+
+@functools.lru_cache(maxsize=None)
+def rowptr64_crc32c(mode: str = "2EC3ED") -> CRC32CCode:
+    """CRC32C over four uint64 row-pointer entries, one byte in each top byte."""
+    return CRC32CCode(4, range(256), _reserved(range(0, 256, 64), 56, 64),
+                      mode=mode, name="rowptr64-crc32c")
+
+
+@functools.lru_cache(maxsize=None)
+def coo_pair_crc32c(mode: str = "2EC3ED") -> CRC32CCode:
+    """CRC32C over two COO elements.
+
+    Lanes: value0, value1, ``row0 | col0 << 32``, ``row1 | col1 << 32``;
+    CRC byte ``j`` in the top byte of the ``j``-th index word.
+    """
+    return CRC32CCode(4, range(256), _reserved(range(128, 256, 32), 24, 32),
+                      mode=mode, name="coo-pair-crc32c")
+
+
+@functools.lru_cache(maxsize=256)
+def csr_row_crc32c(length: int, mode: str = "2EC3ED") -> CRC32CCode:
+    """CRC32C over one CSR row of ``length`` 96-bit elements (Fig. 1c).
+
+    Lanes: the ``length`` values, then the column indices packed two to
+    a lane — so the stream is the ``8L`` value bytes followed by the
+    ``4L`` index bytes.  CRC byte ``j`` sits in the top byte of the
+    row's ``j``-th index; top bytes of indices 4..L-1 are carried raw in
+    the stream (zero for any in-limit matrix) so flips there are covered.
+    """
+    return CRC32CCode(
+        length + (length + 1) // 2, range(96 * length),
+        _reserved(range(64 * length, 64 * length + 128, 32), 24, 32),
+        mode=mode, name=f"csr-row{length}-crc32c",
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def csr64_row_crc32c(length: int, mode: str = "2EC3ED") -> CRC32CCode:
+    """CRC32C over one CSR row with uint64 column indices.
+
+    Lanes: the ``length`` values, then the ``length`` indices; CRC byte
+    ``j`` in the top byte of the row's ``j``-th index.
+    """
+    return CRC32CCode(
+        2 * length, range(128 * length),
+        _reserved(range(64 * length, 64 * length + 256, 64), 56, 64),
+        mode=mode, name=f"csr64-row{length}-crc32c",
+    )
 
 
 @functools.lru_cache(maxsize=None)

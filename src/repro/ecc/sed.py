@@ -5,43 +5,73 @@ is detected, every even number is missed, nothing is correctable.  It is
 by far the cheapest scheme (one popcount per codeword) which is why the
 paper finds it attractive on almost every platform.
 
-The functions here are layout-agnostic: the caller supplies lane-packed
-codewords where the designated parity *slot* has been zeroed (encode) or
-left as stored (check).  Placement of the parity bit — top bit of a column
-index, LSB of a mantissa — is owned by the containers in
-:mod:`repro.protect`.
+:class:`SEDCode` is layout-agnostic like its SECDED and CRC siblings:
+placement of the parity bit — top bit of a column index, LSB of a
+mantissa — is the ``check_positions`` it is built with.  Parity folds
+lane by lane, so besides an ``(N, L)`` lane array it accepts *split
+lanes* — a tuple of ``L`` 1-D unsigned arrays, zero-extended — and a
+``(value, index)`` element is checked on its own two arrays, at their
+own widths, with no lane array at all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.bits.popcount import parity_lanes
+from repro.bits.popcount import parity64
+from repro.ecc.base import CheckReport, LaneCode
+from repro.errors import ConfigurationError
 
 
-def sed_parity_lanes(lanes: np.ndarray) -> np.ndarray:
-    """Parity of each lane-packed codeword; shape ``lanes.shape[:-1]``, uint8."""
-    return parity_lanes(lanes)
+class SEDCode(LaneCode):
+    """Even parity over ``codeword_positions``, stored in one check slot."""
 
+    corrects, detects = 0, 1
 
-def sed_encode(lanes: np.ndarray, parity_lane: int, parity_bit: int) -> np.ndarray:
-    """Set the parity bit so each codeword has even total parity.
+    def __init__(self, n_lanes: int, codeword_positions: Sequence[int],
+                 check_positions: Sequence[int], *, name: str = "sed"):
+        super().__init__(n_lanes, codeword_positions, check_positions, name)
+        if len(self.check_positions) != 1:
+            raise ConfigurationError(f"{name}: SED stores exactly one parity bit")
+        self.parity_slot = self.check_positions[0]
 
-    ``lanes`` is modified in place (the parity slot is overwritten, any
-    previous content there is discarded) and returned.
-    """
-    bit = np.uint64(1) << np.uint64(parity_bit)
-    lanes[..., parity_lane] &= ~bit
-    p = parity_lanes(lanes).astype(np.uint64)
-    lanes[..., parity_lane] |= p << np.uint64(parity_bit)
-    return lanes
+    def _columns(self, lanes) -> Sequence[np.ndarray]:
+        """One 1-D array per lane: split lanes as given, else the array's columns."""
+        if isinstance(lanes, tuple):
+            return lanes
+        lanes = self._as_lanes(lanes)
+        return [lanes[:, j] for j in range(self.n_lanes)]
 
+    def parity(self, lanes) -> np.ndarray:
+        """Total parity of each stored codeword (uint8; 0 = intact)."""
+        total = None
+        for column, mask in zip(self._columns(lanes), self._all_mask):
+            # Padding is masked out; a lane covered to its stored width skips that.
+            width = (1 << (8 * column.itemsize)) - 1
+            if int(mask) & width != width:
+                column = column & column.dtype.type(int(mask) & width)
+            total = parity64(column) if total is None else total ^ parity64(column)
+        return total
 
-def sed_check(lanes: np.ndarray) -> np.ndarray:
-    """Return a boolean "corrupted" flag per codeword.
+    def encode(self, lanes):
+        """Set the parity slot so every codeword has even parity, in place."""
+        lane, bit = divmod(self.parity_slot, 64)
+        column = self._columns(lanes)[lane]
+        slot = column.dtype.type(1) << column.dtype.type(bit)
+        column &= ~slot
+        column |= self.parity(lanes).astype(column.dtype) << column.dtype.type(bit)
+        return lanes
 
-    A clean SED codeword (data + embedded parity bit) always has even
-    parity, so a nonzero total parity means an odd number of flips
-    happened somewhere in the codeword.
-    """
-    return parity_lanes(lanes).astype(bool)
+    def scan(self, lanes) -> int:
+        """Number of corrupted codewords."""
+        return int(np.count_nonzero(self.parity(lanes)))
+
+    def detect(self, lanes) -> np.ndarray:
+        """Boolean "corrupted" flag per codeword: odd parity = odd flips."""
+        return self.parity(lanes).astype(bool)
+
+    def check_and_correct(self, lanes) -> CheckReport:
+        """Parity locates nothing: a detection is always UNCORRECTABLE."""
+        return self.detect_report(lanes)

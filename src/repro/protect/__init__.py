@@ -10,6 +10,9 @@ The public surface of the paper's contribution:
 * :class:`~repro.protect.row_pointer.ProtectedRowPointer` — the row
   pointer with redundancy in its top bits (Fig. 2);
 * :class:`~repro.protect.matrix.ProtectedCSRMatrix` — the full matrix;
+* :mod:`repro.protect.codeword_store` — the layout × code table and the
+  one :class:`~repro.protect.codeword_store.CodewordStore` every
+  container above checks, corrects and encodes through;
 * :class:`~repro.protect.policy.CheckPolicy` — less-frequent checking,
   per region;
 * :class:`~repro.protect.engine.DeferredVerificationEngine` — dirty
@@ -21,13 +24,7 @@ The public surface of the paper's contribution:
 * :mod:`repro.protect.kernels` — SpMV / dot / axpy over protected data.
 """
 
-from repro.protect.base import (
-    ELEMENT_SCHEMES,
-    ROWPTR_SCHEMES,
-    VECTOR_SCHEMES,
-    column_limit,
-    rowptr_value_limit,
-)
+from repro.protect.codeword_store import CODEWORD_TABLE, CodewordStore, codeword_row
 from repro.protect.vector import ProtectedBlockVector, ProtectedVector
 from repro.protect.csr_elements import ProtectedCSRElements
 from repro.protect.row_pointer import ProtectedRowPointer
@@ -47,11 +44,9 @@ __all__ = [
     "ProtectedCOOMatrix",
     "ProtectedCSRElements64",
     "ProtectedRowPointer64",
-    "ELEMENT_SCHEMES",
-    "ROWPTR_SCHEMES",
-    "VECTOR_SCHEMES",
-    "column_limit",
-    "rowptr_value_limit",
+    "CODEWORD_TABLE",
+    "CodewordStore",
+    "codeword_row",
     "ProtectedVector",
     "ProtectedBlockVector",
     "ProtectedCSRElements",

@@ -26,19 +26,12 @@ import dataclasses
 import os
 
 from repro.errors import ConfigurationError
-from repro.protect.base import ELEMENT_SCHEMES, ROWPTR_SCHEMES, VECTOR_SCHEMES
+from repro.protect.codeword_store import codeword_row
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 from repro.recover.manager import RecoveryManager
 from repro.recover.policy import RecoveryPolicy
-
-
-def _check_scheme(scheme: str | None, table: dict[str, int], kind: str) -> None:
-    if scheme is not None and scheme not in table:
-        raise ConfigurationError(
-            f"unknown {kind} scheme {scheme!r}; choose from {sorted(table)} or None"
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,9 +101,11 @@ class ProtectionConfig:
     recovery: RecoveryPolicy | str | None = None
 
     def __post_init__(self):
-        _check_scheme(self.element_scheme, ELEMENT_SCHEMES, "element")
-        _check_scheme(self.rowptr_scheme, ROWPTR_SCHEMES, "rowptr")
-        _check_scheme(self.vector_scheme, VECTOR_SCHEMES, "vector")
+        for structure, scheme in (("csr_elements", self.element_scheme),
+                                  ("row_pointer", self.rowptr_scheme),
+                                  ("vector", self.vector_scheme)):
+            if scheme is not None:
+                codeword_row(structure, scheme)  # raises, naming the choices
         if self.interval < 0:
             raise ConfigurationError("interval must be >= 0")
         if self.vector_interval is not None and self.vector_interval < 0:

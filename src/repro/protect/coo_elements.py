@@ -15,9 +15,11 @@ crc32c      two elements (256 b)   all four top bytes           2**24 - 1 both
 has no 96-bit framing; the per-element SECDED128 is the natural fit —
 this matches prior work treating COO elements as single codewords.)
 
-CRC32C stream layout per pair: 16 value bytes, then the four masked
-index words (row0, col0, row1, col1); checksum byte ``j`` lives in the
-top byte of the ``j``-th index word of the pair.  An odd trailing
+These are the ``coo_elements`` rows of
+:data:`~repro.protect.codeword_store.CODEWORD_TABLE`.  CRC32C stream
+layout per pair: 16 value bytes, then the four index words (row0, col0,
+row1, col1) with their top bytes read as zero; checksum byte ``j`` lives
+in the top byte of the ``j``-th index word of the pair.  An odd trailing
 element falls back to SED.
 """
 
@@ -26,26 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bits.float_bits import f64_to_u64
-from repro.bits.popcount import parity64
-from repro.ecc.base import CheckReport, CodewordStatus
-from repro.ecc.crc32c import crc32c_batch
-from repro.ecc.crc_correct import corrector_for, max_errors_for_mode
-from repro.ecc.profiles import coo_element_secded128
+from repro.ecc.base import CheckReport
 from repro.errors import ConfigurationError
-
-_ONE = np.uint64(1)
-_LOW24 = np.uint32(0x00FFFFFF)
-_LOW31 = np.uint32(0x7FFFFFFF)
-
-#: COO schemes and the index bits they reserve (row, col).
-COO_SCHEMES: dict[str, tuple[int, int]] = {
-    "sed": (1, 0),
-    "secded128": (8, 8),
-    "crc32c": (8, 8),
-}
+from repro.protect.codeword_store import CodewordRegion, CodewordStore
 
 
-class ProtectedCOOElements:
+class ProtectedCOOElements(CodewordRegion):
     """Protected ``(values, rowidx, colidx)`` triplets of a COO matrix."""
 
     def __init__(
@@ -57,47 +45,27 @@ class ProtectedCOOElements:
         scheme: str = "secded128",
         crc_mode: str = "2EC3ED",
     ):
-        if scheme not in COO_SCHEMES:
-            raise ConfigurationError(
-                f"unknown COO scheme {scheme!r}; choose from {sorted(COO_SCHEMES)}"
-            )
         self.scheme = scheme
         self.crc_mode = crc_mode
-        max_errors_for_mode(crc_mode, True)  # validate eagerly
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self.rowidx = np.ascontiguousarray(rowidx, dtype=np.uint32)
         self.colidx = np.ascontiguousarray(colidx, dtype=np.uint32)
         self.shape = (int(shape[0]), int(shape[1]))
-        row_bits, col_bits = COO_SCHEMES[scheme]
-        row_limit = (1 << (32 - row_bits)) - 1
-        col_limit = (1 << (32 - col_bits)) - 1 if col_bits else 2**32 - 1
-        if self.shape[0] > row_limit or self.shape[1] > col_limit:
-            raise ConfigurationError(
-                f"{scheme}: shape {self.shape} exceeds limits "
-                f"({row_limit}, {col_limit})"
-            )
         self.nnz = self.values.size
-        self._n_paired = (self.nnz // 2) * 2 if scheme == "crc32c" else self.nnz
+        self._store = CodewordStore(
+            "coo_elements", scheme,
+            (f64_to_u64(self.values), self.rowidx, self.colidx), crc_mode,
+        )
+        limits = self._store.row.limit(32, 0), self._store.row.limit(32, 1)
+        if self.shape[0] > limits[0] or self.shape[1] > limits[1]:
+            raise ConfigurationError(
+                f"{scheme}: shape {self.shape} exceeds limits {limits}"
+            )
+        #: Bit masks of the index bits that hold data rather than ECC.
+        self.row_mask, self.col_mask = np.uint32(limits[0]), np.uint32(limits[1])
         self.encode()
 
     # ------------------------------------------------------------------
-    @property
-    def row_mask(self) -> np.uint32:
-        """Bit mask of the row-index bits that hold data rather than ECC."""
-        return _LOW31 if self.scheme == "sed" else _LOW24
-
-    @property
-    def col_mask(self) -> np.uint32:
-        """Bit mask of the column-index bits that hold data rather than ECC."""
-        return np.uint32(0xFFFFFFFF) if self.scheme == "sed" else _LOW24
-
-    @property
-    def n_codewords(self) -> int:
-        """Number of ECC codewords covering this container."""
-        if self.scheme == "crc32c":
-            return self._n_paired // 2 + (self.nnz - self._n_paired)
-        return self.nnz
-
     def rowidx_clean(self) -> np.ndarray:
         """Row indices with the embedded ECC bits masked off."""
         return self.rowidx & self.row_mask
@@ -105,189 +73,6 @@ class ProtectedCOOElements:
     def colidx_clean(self) -> np.ndarray:
         """Column indices with the embedded ECC bits masked off."""
         return self.colidx & self.col_mask
-
-    # ------------------------------------------------------------------
-    def _element_lanes(self, sl: slice = slice(None)) -> np.ndarray:
-        lanes = np.empty((len(self.values[sl]), 2), dtype=np.uint64)
-        lanes[:, 0] = f64_to_u64(self.values)[sl]
-        lanes[:, 1] = self.rowidx[sl].astype(np.uint64) | (
-            self.colidx[sl].astype(np.uint64) << np.uint64(32)
-        )
-        return lanes
-
-    def _store_lanes(self, lanes: np.ndarray, idx: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        f64_to_u64(self.values)[idx] = lanes[idx, 0]
-        self.rowidx[idx] = (lanes[idx, 1] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        self.colidx[idx] = (lanes[idx, 1] >> np.uint64(32)).astype(np.uint32)
-
-    def encode(self) -> None:
-        """(Re-)compute and embed the ECC bits over the current storage."""
-        if self.scheme == "sed":
-            data = self.rowidx & _LOW31
-            p = (
-                parity64(f64_to_u64(self.values))
-                ^ (np.bitwise_count(data) & np.uint8(1))
-                ^ (np.bitwise_count(self.colidx) & np.uint8(1))
-            ).astype(np.uint32)
-            self.rowidx[:] = data | (p << np.uint32(31))
-        elif self.scheme == "secded128":
-            lanes = self._element_lanes()
-            coo_element_secded128().encode(lanes)
-            self._store_lanes(lanes, np.arange(self.nnz))
-        else:
-            self._encode_crc()
-
-    def detect(self) -> np.ndarray:
-        """Per-codeword error flags from one syndrome pass; never corrects."""
-        if self.scheme == "sed":
-            p = (
-                parity64(f64_to_u64(self.values))
-                ^ (np.bitwise_count(self.rowidx) & np.uint8(1))
-                ^ (np.bitwise_count(self.colidx) & np.uint8(1))
-            )
-            return p.astype(bool)
-        if self.scheme == "secded128":
-            return coo_element_secded128().detect(self._element_lanes())
-        flags = self._crc_diff() != 0
-        if self.nnz != self._n_paired:
-            tail = self._tail_parity().astype(bool)
-            flags = np.concatenate([flags, tail])
-        return flags
-
-    def check(self, correct: bool = True) -> CheckReport:
-        """Verify every codeword, correcting where the scheme and ``correct`` allow."""
-        if not correct or self.scheme == "sed":
-            flags = self.detect()
-            return CheckReport(
-                status=np.where(
-                    flags,
-                    np.uint8(CodewordStatus.UNCORRECTABLE),
-                    np.uint8(CodewordStatus.OK),
-                )
-            )
-        if self.scheme == "secded128":
-            lanes = self._element_lanes()
-            report = coo_element_secded128().check_and_correct(lanes)
-            self._store_lanes(lanes, report.corrected_indices())
-            return report
-        return self._check_crc()
-
-    # -- crc32c internals ---------------------------------------------------
-    # Stream per pair: value0 bytes, value1 bytes, then masked
-    # (row0, col0, row1, col1); checksum byte j stored in the top byte of
-    # the j-th index word.
-    def _pair_index_words(self) -> np.ndarray:
-        n_pairs = self._n_paired // 2
-        words = np.empty((n_pairs, 4), dtype=np.uint32)
-        words[:, 0] = self.rowidx[0 : self._n_paired : 2]
-        words[:, 1] = self.colidx[0 : self._n_paired : 2]
-        words[:, 2] = self.rowidx[1 : self._n_paired : 2]
-        words[:, 3] = self.colidx[1 : self._n_paired : 2]
-        return words
-
-    def _store_pair_index_words(self, words: np.ndarray) -> None:
-        self.rowidx[0 : self._n_paired : 2] = words[:, 0]
-        self.colidx[0 : self._n_paired : 2] = words[:, 1]
-        self.rowidx[1 : self._n_paired : 2] = words[:, 2]
-        self.colidx[1 : self._n_paired : 2] = words[:, 3]
-
-    def _pair_stream(self) -> tuple[np.ndarray, np.ndarray]:
-        n_pairs = self._n_paired // 2
-        vals = (
-            f64_to_u64(self.values)[: self._n_paired]
-            .reshape(n_pairs, 2)
-            .view(np.uint8)
-            .reshape(n_pairs, 16)
-        )
-        words = self._pair_index_words()
-        masked = (words & _LOW24).view(np.uint8).reshape(n_pairs, 16)
-        stream = np.concatenate([vals, masked], axis=1)
-        stored = np.zeros(n_pairs, dtype=np.uint32)
-        for j in range(4):
-            stored |= (words[:, j] >> np.uint32(24)) << np.uint32(8 * j)
-        return stream, stored
-
-    def _encode_crc(self) -> None:
-        if self._n_paired:
-            stream, _ = self._pair_stream()
-            crc = crc32c_batch(stream)
-            words = self._pair_index_words() & _LOW24
-            for j in range(4):
-                chunk = ((crc >> np.uint32(8 * j)) & np.uint32(0xFF)).astype(np.uint32)
-                words[:, j] |= chunk << np.uint32(24)
-            self._store_pair_index_words(words)
-        self._encode_tail()
-
-    def _encode_tail(self) -> None:
-        if self.nnz == self._n_paired:
-            return
-        sl = slice(self._n_paired, None)
-        data = self.rowidx[sl] & _LOW31
-        p = (
-            parity64(f64_to_u64(self.values)[sl])
-            ^ (np.bitwise_count(data) & np.uint8(1))
-            ^ (np.bitwise_count(self.colidx[sl]) & np.uint8(1))
-        ).astype(np.uint32)
-        self.rowidx[sl] = data | (p << np.uint32(31))
-
-    def _tail_parity(self) -> np.ndarray:
-        sl = slice(self._n_paired, None)
-        return (
-            parity64(f64_to_u64(self.values)[sl])
-            ^ (np.bitwise_count(self.rowidx[sl]) & np.uint8(1))
-            ^ (np.bitwise_count(self.colidx[sl]) & np.uint8(1))
-        )
-
-    def _crc_diff(self) -> np.ndarray:
-        if not self._n_paired:
-            return np.zeros(0, dtype=np.uint32)
-        stream, stored = self._pair_stream()
-        return crc32c_batch(stream) ^ stored
-
-    def _check_crc(self) -> CheckReport:
-        diff = self._crc_diff()
-        status = np.zeros(self.n_codewords, dtype=np.uint8)
-        bad = np.flatnonzero(diff)
-        if bad.size:
-            corrector = corrector_for(32)
-            max_errors = max_errors_for_mode(self.crc_mode, corrector.hd6)
-            vwords = f64_to_u64(self.values)
-            words = self._pair_index_words()
-            changed = False
-            for g in bad:
-                if max_errors == 0:
-                    status[g] = CodewordStatus.UNCORRECTABLE
-                    continue
-                located = corrector.locate(int(diff[g]), max_errors=max_errors)
-                # Bits 24..31 of a masked index word are zero in the stream.
-                if located is None or any(
-                    128 <= bit < corrector.n_data_bits and (bit % 32) >= 24
-                    for bit in located
-                ):
-                    status[g] = CodewordStatus.UNCORRECTABLE
-                    continue
-                for bit in located:
-                    if bit >= corrector.n_data_bits:
-                        j = bit - corrector.n_data_bits
-                        words[g, j // 8] ^= np.uint32(1) << np.uint32(24 + j % 8)
-                        changed = True
-                    elif bit < 128:
-                        elem, b = divmod(bit, 64)
-                        vwords[2 * g + elem] ^= _ONE << np.uint64(b)
-                    else:
-                        word, b = divmod(bit - 128, 32)
-                        words[g, word] ^= np.uint32(1) << np.uint32(b)
-                        changed = True
-                status[g] = CodewordStatus.CORRECTED
-            if changed:
-                self._store_pair_index_words(words)
-        if self.nnz != self._n_paired:
-            tail_bad = self._tail_parity().astype(bool)
-            n_pairs = self._n_paired // 2
-            status[n_pairs:][tail_bad] = CodewordStatus.UNCORRECTABLE
-        return CheckReport(status=status)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -9,423 +9,41 @@ is that extension:
   SED in the index top bit (columns <= 2**63 - 1), SECDED in the top 9
   bits (columns <= 2**55 - 1), CRC32C per row in the top byte of each of
   the first four indices (columns <= 2**56 - 1, rows >= 4 nnz);
-* **row pointer** — uint64 entries; SED per entry (top bit), SECDED per
-  entry in the top byte (nnz <= 2**56 - 1), CRC32C over groups of four
-  entries (one byte each).
+* **row pointer** — uint64 entries, checked in place; SED per entry (top
+  bit), SECDED per entry in the top byte (nnz <= 2**56 - 1), CRC32C over
+  groups of four entries (one byte each).
 
-Only the layout constants change relative to the 32-bit containers — the
-same SECDED engine and CRC machinery do the work, which is exactly the
-"easily extended" claim.
+Only the index dtype and the table rows (``csr_elements64`` /
+``row_pointer64`` in
+:data:`~repro.protect.codeword_store.CODEWORD_TABLE`) change relative to
+the 32-bit containers, which is exactly the "easily extended" claim.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bits.float_bits import f64_to_u64
-from repro.bits.popcount import parity64
-from repro.ecc.base import CheckReport, CodewordStatus
-from repro.ecc.crc32c import crc32c_batch
-from repro.ecc.crc_correct import corrector_for, max_errors_for_mode
-from repro.ecc.profiles import csr64_element_secded, u64_top_secded
-from repro.errors import ConfigurationError
-
-_ONE = np.uint64(1)
-_LOW55 = np.uint64((1 << 55) - 1)
-_LOW56 = np.uint64((1 << 56) - 1)
-_LOW63 = np.uint64((1 << 63) - 1)
-
-#: 64-bit element schemes: reserved index bits and column limits.
-CSR64_ELEMENT_SCHEMES: dict[str, tuple[int, int]] = {
-    "sed": (1, (1 << 63) - 1),
-    "secded": (9, (1 << 55) - 1),
-    "crc32c": (8, (1 << 56) - 1),
-}
-
-#: 64-bit row-pointer schemes: (group, value limit).
-CSR64_ROWPTR_SCHEMES: dict[str, tuple[int, int]] = {
-    "sed": (1, (1 << 63) - 1),
-    "secded": (1, (1 << 56) - 1),
-    "crc32c": (4, (1 << 56) - 1),
-}
+from repro.protect.csr_elements import ProtectedCSRElements
+from repro.protect.row_pointer import ProtectedRowPointer
 
 
-class ProtectedCSRElements64:
+class ProtectedCSRElements64(ProtectedCSRElements):
     """Protected (values, colidx64) pairs with uint64 column indices."""
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        colidx: np.ndarray,
-        rowptr: np.ndarray,
-        n_cols: int,
-        scheme: str = "secded",
-        crc_mode: str = "2EC3ED",
-    ):
-        if scheme not in CSR64_ELEMENT_SCHEMES:
-            raise ConfigurationError(
-                f"unknown csr64 element scheme {scheme!r}; "
-                f"choose from {sorted(CSR64_ELEMENT_SCHEMES)}"
-            )
-        self.scheme = scheme
-        self.crc_mode = crc_mode
-        max_errors_for_mode(crc_mode, True)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self.colidx = np.ascontiguousarray(colidx, dtype=np.uint64)
-        self.rowptr = np.ascontiguousarray(rowptr, dtype=np.uint64)
-        self.n_cols = int(n_cols)
-        _, limit = CSR64_ELEMENT_SCHEMES[scheme]
-        if self.n_cols > limit:
-            raise ConfigurationError(
-                f"{scheme}: {self.n_cols} columns exceed the limit {limit}"
-            )
-        if self.colidx.size and int(self.colidx.max()) > limit:
-            raise ConfigurationError("column index exceeds the scheme limit")
-        if scheme == "crc32c":
-            lengths = self.rowptr.astype(np.int64)
-            lengths = lengths[1:] - lengths[:-1]
-            if lengths.size and int(lengths.min()) < 4:
-                raise ConfigurationError(
-                    "crc32c row protection needs >= 4 non-zeros per row"
-                )
-            self._length_groups = [
-                (np.flatnonzero(lengths == ln), int(ln))
-                for ln in np.unique(lengths)
-            ]
-        self.nnz = self.values.size
-        # Persistent (nnz, 2) lane buffer; _lanes refreshes it in place.
-        self._lane_buf: np.ndarray | None = None
-        self.encode()
+    _structure = "csr_elements64"
+    _index_dtype = np.uint64
 
-    # ------------------------------------------------------------------
-    @property
-    def index_mask(self) -> np.uint64:
-        """Bit mask of the index bits that hold data rather than ECC."""
-        return {"sed": _LOW63, "secded": _LOW55, "crc32c": _LOW56}[self.scheme]
-
-    @property
-    def n_codewords(self) -> int:
-        """Number of ECC codewords covering this container."""
-        return self.rowptr.size - 1 if self.scheme == "crc32c" else self.nnz
-
-    def fused_code(self):
-        """The per-element ECC code when one codeword spans one element.
-
-        Mirrors the 32-bit container's contract for fused verify-in-SpMV
-        kernels: a non-``None`` return means every (value, colidx) element
-        is covered by exactly one codeword, so a kernel streaming elements
-        for a product can compute syndromes on the same traffic.  Only the
-        ``secded`` scheme qualifies here (``sed`` folds a parity bit across
-        both lanes but cannot locate errors; ``crc32c`` codewords span whole
-        rows).
-        """
-        if self.scheme == "secded":
-            return csr64_element_secded()
-        return None
-
-    def colidx_clean(self) -> np.ndarray:
-        """Column indices with the embedded ECC bits masked off."""
-        return self.colidx & self.index_mask
-
-    def _lanes(self) -> np.ndarray:
-        """The persistent uint64 lane view, re-synced from live storage."""
-        if self._lane_buf is None:
-            self._lane_buf = np.empty((self.nnz, 2), dtype=np.uint64)
-        np.copyto(self._lane_buf[:, 0], f64_to_u64(self.values))
-        np.copyto(self._lane_buf[:, 1], self.colidx)
-        return self._lane_buf
-
-    def _store_lanes(self, lanes: np.ndarray, idx: np.ndarray) -> None:
-        if idx.size == 0:
-            return
-        f64_to_u64(self.values)[idx] = lanes[idx, 0]
-        self.colidx[idx] = lanes[idx, 1]
-
-    # ------------------------------------------------------------------
-    def encode(self) -> None:
-        """(Re-)compute and embed the ECC bits over the current storage."""
-        if self.scheme == "sed":
-            data = self.colidx & _LOW63
-            p = (
-                parity64(f64_to_u64(self.values)) ^ parity64(data)
-            ).astype(np.uint64)
-            self.colidx[:] = data | (p << np.uint64(63))
-        elif self.scheme == "secded":
-            lanes = self._lanes()
-            csr64_element_secded().encode(lanes)
-            self.colidx[:] = lanes[:, 1]
-        else:
-            self._encode_crc()
-
-    def detect(self) -> np.ndarray:
-        """Per-codeword error flags from one syndrome pass; never corrects."""
-        if self.scheme == "sed":
-            return (
-                parity64(f64_to_u64(self.values)) ^ parity64(self.colidx)
-            ).astype(bool)
-        if self.scheme == "secded":
-            return csr64_element_secded().detect(self._lanes())
-        flags = np.zeros(self.rowptr.size - 1, dtype=bool)
-        for rows, length in self._length_groups:
-            stream, stored, _ = self._row_streams(rows, length)
-            flags[rows] = (crc32c_batch(stream) ^ stored) != 0
-        return flags
-
-    def check(self, correct: bool = True) -> CheckReport:
-        """Verify every codeword, correcting where the scheme and ``correct`` allow."""
-        if not correct or self.scheme == "sed":
-            flags = self.detect()
-            return CheckReport(
-                status=np.where(
-                    flags,
-                    np.uint8(CodewordStatus.UNCORRECTABLE),
-                    np.uint8(CodewordStatus.OK),
-                )
-            )
-        if self.scheme == "secded":
-            lanes = self._lanes()
-            report = csr64_element_secded().check_and_correct(lanes)
-            self._store_lanes(lanes, report.corrected_indices())
-            return report
-        return self._check_crc()
-
-    # -- crc32c internals (16-byte elements: 8 value + 8 index) -----------
-    def _row_streams(self, rows: np.ndarray, length: int):
-        starts = self.rowptr[rows].astype(np.int64)
-        elems = starts[:, None] + np.arange(length)
-        vals = np.ascontiguousarray(self.values[elems])
-        idxs = np.ascontiguousarray(self.colidx[elems])
-        masked = idxs.copy()
-        masked[:, :4] &= _LOW56
-        stream = np.concatenate(
-            [vals.view(np.uint8).reshape(len(rows), 8 * length),
-             masked.view(np.uint8).reshape(len(rows), 8 * length)],
-            axis=1,
-        )
-        stored = np.zeros(len(rows), dtype=np.uint32)
-        for j in range(4):
-            stored |= ((idxs[:, j] >> np.uint64(56)).astype(np.uint32)
-                       << np.uint32(8 * j))
-        return stream, stored, elems
-
-    def _encode_crc(self) -> None:
-        for rows, length in self._length_groups:
-            starts = self.rowptr[rows].astype(np.int64)
-            elems = starts[:, None] + np.arange(length)
-            for j in range(4):
-                self.colidx[elems[:, j]] &= _LOW56
-            stream, _, _ = self._row_streams(rows, length)
-            crc = crc32c_batch(stream)
-            for j in range(4):
-                chunk = ((crc >> np.uint32(8 * j)) & np.uint32(0xFF)).astype(np.uint64)
-                self.colidx[elems[:, j]] |= chunk << np.uint64(56)
-
-    def _check_crc(self) -> CheckReport:
-        status = np.zeros(self.rowptr.size - 1, dtype=np.uint8)
-        for rows, length in self._length_groups:
-            stream, stored, _ = self._row_streams(rows, length)
-            diff = crc32c_batch(stream) ^ stored
-            bad = np.flatnonzero(diff)
-            if not bad.size:
-                continue
-            corrector = corrector_for(16 * length)
-            max_errors = max_errors_for_mode(self.crc_mode, corrector.hd6)
-            if max_errors == 0:
-                status[rows[bad]] = CodewordStatus.UNCORRECTABLE
-                continue
-            vwords = f64_to_u64(self.values)
-            for k in bad:
-                row = rows[k]
-                start = int(self.rowptr[row])
-                located = corrector.locate(int(diff[k]), max_errors=max_errors)
-                if located is None or not all(
-                    self._bit_possible(bit, length, corrector) for bit in located
-                ):
-                    status[row] = CodewordStatus.UNCORRECTABLE
-                    continue
-                for bit in located:
-                    self._apply_flip(bit, start, length, corrector, vwords)
-                status[row] = CodewordStatus.CORRECTED
-        return CheckReport(status=status)
-
-    @staticmethod
-    def _bit_possible(bit: int, length: int, corrector) -> bool:
-        if bit >= corrector.n_data_bits:
-            return True
-        b = bit - 64 * length
-        if b < 0:
-            return True
-        elem, pos = divmod(b, 64)
-        return not (elem < 4 and pos >= 56)
-
-    def _apply_flip(self, bit, start, length, corrector, vwords) -> None:
-        if bit >= corrector.n_data_bits:
-            j = bit - corrector.n_data_bits
-            self.colidx[start + j // 8] ^= _ONE << np.uint64(56 + j % 8)
-        elif bit < 64 * length:
-            elem, pos = divmod(bit, 64)
-            vwords[start + elem] ^= _ONE << np.uint64(pos)
-        else:
-            elem, pos = divmod(bit - 64 * length, 64)
-            self.colidx[start + elem] ^= _ONE << np.uint64(pos)
+    def __init__(self, values: np.ndarray, colidx: np.ndarray, rowptr: np.ndarray,
+                 n_cols: int, scheme: str = "secded", crc_mode: str = "2EC3ED"):
+        super().__init__(values, colidx, rowptr, n_cols, scheme, crc_mode)
 
 
-class ProtectedRowPointer64:
+class ProtectedRowPointer64(ProtectedRowPointer):
     """Protected uint64 row-pointer vector."""
+
+    _structure = "row_pointer64"
+    _dtype = np.uint64
 
     def __init__(self, rowptr: np.ndarray, scheme: str = "secded",
                  crc_mode: str = "2EC3ED"):
-        if scheme not in CSR64_ROWPTR_SCHEMES:
-            raise ConfigurationError(
-                f"unknown csr64 rowptr scheme {scheme!r}; "
-                f"choose from {sorted(CSR64_ROWPTR_SCHEMES)}"
-            )
-        self.scheme = scheme
-        self.crc_mode = crc_mode
-        max_errors_for_mode(crc_mode, True)
-        self.group, limit = CSR64_ROWPTR_SCHEMES[scheme]
-        self.raw = np.ascontiguousarray(rowptr, dtype=np.uint64).copy()
-        if self.raw.size and int(self.raw.max()) > limit:
-            raise ConfigurationError("row pointer value exceeds the scheme limit")
-        self._n_grouped = (self.raw.size // self.group) * self.group
-        self.encode()
-
-    def __len__(self) -> int:
-        return self.raw.size
-
-    @property
-    def tail_size(self) -> int:
-        """Number of entries in the final, partial codeword group."""
-        return self.raw.size - self._n_grouped
-
-    @property
-    def entry_mask(self) -> np.uint64:
-        """Bit mask of the row-pointer bits that hold data rather than ECC."""
-        return _LOW63 if self.scheme == "sed" else _LOW56
-
-    def clean(self) -> np.ndarray:
-        """Row-pointer entries with the embedded ECC bits masked off."""
-        out = self.raw & self.entry_mask
-        if self.tail_size:
-            out[self._n_grouped :] = self.raw[self._n_grouped :] & _LOW63
-        return out
-
-    def encode(self) -> None:
-        """(Re-)compute and embed the ECC bits over the current storage."""
-        if self.scheme == "sed":
-            data = self.raw & _LOW63
-            self.raw[:] = data | (parity64(data).astype(np.uint64) << np.uint64(63))
-            return
-        if self._n_grouped:
-            if self.scheme == "secded":
-                lanes = self.raw[: self._n_grouped].reshape(-1, 1)
-                u64_top_secded().encode(lanes)
-            else:
-                self._encode_crc()
-        self._encode_tail()
-
-    def _encode_tail(self) -> None:
-        if not self.tail_size:
-            return
-        sl = slice(self._n_grouped, None)
-        data = self.raw[sl] & _LOW63
-        self.raw[sl] = data | (parity64(data).astype(np.uint64) << np.uint64(63))
-
-    def detect(self) -> np.ndarray:
-        """Per-codeword error flags from one syndrome pass; never corrects."""
-        if self.scheme == "sed":
-            return parity64(self.raw).astype(bool)
-        flags = np.zeros(0, dtype=bool)
-        if self._n_grouped:
-            if self.scheme == "secded":
-                flags = u64_top_secded().detect(
-                    self.raw[: self._n_grouped].reshape(-1, 1)
-                )
-            else:
-                flags = self._crc_diff() != 0
-        if self.tail_size:
-            flags = np.concatenate(
-                [flags, parity64(self.raw[self._n_grouped :]).astype(bool)]
-            )
-        return flags
-
-    def check(self, correct: bool = True) -> CheckReport:
-        """Verify every codeword, correcting where the scheme and ``correct`` allow."""
-        if not correct or self.scheme == "sed":
-            flags = self.detect()
-            return CheckReport(
-                status=np.where(
-                    flags,
-                    np.uint8(CodewordStatus.UNCORRECTABLE),
-                    np.uint8(CodewordStatus.OK),
-                )
-            )
-        status = np.zeros(0, dtype=np.uint8)
-        if self._n_grouped:
-            if self.scheme == "secded":
-                lanes = self.raw[: self._n_grouped].reshape(-1, 1)
-                report = u64_top_secded().check_and_correct(lanes)
-                status = report.status
-            else:
-                status = self._check_crc().status
-        if self.tail_size:
-            tail_flags = parity64(self.raw[self._n_grouped :]).astype(bool)
-            status = np.concatenate(
-                [status, np.where(tail_flags,
-                                  np.uint8(CodewordStatus.UNCORRECTABLE),
-                                  np.uint8(CodewordStatus.OK))]
-            )
-        return CheckReport(status=status)
-
-    # -- crc32c over groups of four u64 entries, one byte each -------------
-    def _stream(self) -> tuple[np.ndarray, np.ndarray]:
-        groups = self.raw[: self._n_grouped].reshape(-1, 4)
-        masked = groups & _LOW56
-        stream = masked.view(np.uint8).reshape(-1, 32)
-        stored = np.zeros(groups.shape[0], dtype=np.uint32)
-        for e in range(4):
-            stored |= ((groups[:, e] >> np.uint64(56)).astype(np.uint32)
-                       << np.uint32(8 * e))
-        return stream, stored
-
-    def _crc_diff(self) -> np.ndarray:
-        stream, stored = self._stream()
-        return crc32c_batch(stream) ^ stored
-
-    def _encode_crc(self) -> None:
-        groups = self.raw[: self._n_grouped].reshape(-1, 4)
-        groups &= _LOW56
-        stream = np.ascontiguousarray(groups).view(np.uint8).reshape(-1, 32)
-        crc = crc32c_batch(stream)
-        for e in range(4):
-            chunk = ((crc >> np.uint32(8 * e)) & np.uint32(0xFF)).astype(np.uint64)
-            groups[:, e] |= chunk << np.uint64(56)
-
-    def _check_crc(self) -> CheckReport:
-        diff = self._crc_diff()
-        status = np.zeros(diff.size, dtype=np.uint8)
-        bad = np.flatnonzero(diff)
-        if bad.size:
-            corrector = corrector_for(32)
-            max_errors = max_errors_for_mode(self.crc_mode, corrector.hd6)
-            groups = self.raw[: self._n_grouped].reshape(-1, 4)
-            for g in bad:
-                if max_errors == 0:
-                    status[g] = CodewordStatus.UNCORRECTABLE
-                    continue
-                located = corrector.locate(int(diff[g]), max_errors=max_errors)
-                if located is None or any(
-                    bit < corrector.n_data_bits and (bit % 64) >= 56
-                    for bit in located
-                ):
-                    status[g] = CodewordStatus.UNCORRECTABLE
-                    continue
-                for bit in located:
-                    if bit < corrector.n_data_bits:
-                        e, b = divmod(bit, 64)
-                    else:
-                        j = bit - corrector.n_data_bits
-                        e, b = j // 8, 56 + j % 8
-                    groups[g, e] ^= _ONE << np.uint64(b)
-                status[g] = CodewordStatus.CORRECTED
-        return CheckReport(status=status)
+        super().__init__(rowptr, scheme, crc_mode)

@@ -15,12 +15,15 @@ crc32c      one matrix row        top bytes of the row's     2**24 - 1
                                   first four indices
 ========== ===================== ========================== ===========
 
-The CRC32C stream layout per row of ``L`` elements is block-wise: the
-``8L`` value bytes, then the ``4L`` index bytes with the four checksum
-bytes masked out.  Top bytes of elements 4..L-1 are carried *raw* in the
-stream so flips there are still covered (they are zero for any in-limit
-matrix).  Rows are processed grouped by length, one batched CRC per
-group, which is the NumPy stand-in for the paper's SIMD/GPU parallel CRC.
+These are the ``csr_elements`` rows of
+:data:`~repro.protect.codeword_store.CODEWORD_TABLE`; the container owns
+the raw arrays and the index decode, the
+:class:`~repro.protect.codeword_store.CodewordStore` everything about
+codewords.  The CRC32C stream per row of ``L`` elements is block-wise:
+the ``8L`` value bytes, then the ``4L`` index bytes with the four
+checksum bytes read as zero; rows are processed grouped by length, one
+batched CRC per group — the NumPy stand-in for the paper's SIMD/GPU
+parallel CRC.
 """
 
 from __future__ import annotations
@@ -28,32 +31,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bits.float_bits import f64_to_u64
-from repro.bits.packing import pack_csr_element_lanes, unpack_csr_element_lanes
-from repro.bits.popcount import parity64
-from repro.ecc.base import CheckReport, CodewordStatus
-from repro.ecc.crc32c import crc32c_batch
-from repro.ecc.crc_correct import corrector_for, max_errors_for_mode
-from repro.ecc.profiles import csr_element_pair_secded128, csr_element_secded
+from repro.ecc.hamming import SECDEDCode
 from repro.errors import ConfigurationError
-from repro.protect.base import (
-    ELEMENT_SCHEMES,
-    column_limit,
-    require_fits,
-    resolve_codeword_window,
-)
-
-_ONE = np.uint64(1)
-_LOW24 = np.uint32(0x00FFFFFF)
-_LOW31 = np.uint32(0x7FFFFFFF)
+from repro.protect.codeword_store import CodewordRegion, CodewordStore
 
 
-class ProtectedCSRElements:
+class ProtectedCSRElements(CodewordRegion):
     """The protected ``(values, colidx)`` pair of a CSR matrix.
 
     Owns (aliases) the two arrays; ``colidx`` carries embedded redundancy
     after construction and must be read through :meth:`colidx_clean`.
     ``values`` is never altered by encoding (only by corrections).
+    Scheme ``None`` is the null row: no codewords, nothing reserved.
     """
+
+    _structure = "csr_elements"
+    _index_dtype = np.uint32
 
     def __init__(
         self,
@@ -61,73 +54,47 @@ class ProtectedCSRElements:
         colidx: np.ndarray,
         rowptr: np.ndarray,
         n_cols: int,
-        scheme: str = "secded64",
+        scheme: str | None = "secded64",
         crc_mode: str = "2EC3ED",
     ):
-        if scheme not in ELEMENT_SCHEMES:
-            raise ConfigurationError(
-                f"unknown element scheme {scheme!r}; choose from {sorted(ELEMENT_SCHEMES)}"
-            )
         self.scheme = scheme
         self.crc_mode = crc_mode
-        max_errors_for_mode(crc_mode, True)  # validate eagerly
         self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self.colidx = np.ascontiguousarray(colidx, dtype=np.uint32)
-        self.rowptr = np.ascontiguousarray(rowptr, dtype=np.uint32)
+        self.colidx = np.ascontiguousarray(colidx, dtype=self._index_dtype)
+        self.rowptr = np.ascontiguousarray(rowptr, dtype=self._index_dtype)
         self.n_cols = int(n_cols)
-        limit = column_limit(scheme)
+        self.nnz = self.values.size
+        self._store = CodewordStore(
+            self._structure, scheme, (f64_to_u64(self.values), self.colidx),
+            crc_mode, rowptr=self.rowptr,
+        )
+        row = self._store.row
+        limit = row.limit(8 * self.colidx.itemsize)
         if self.n_cols > limit:
             raise ConfigurationError(
                 f"{scheme}: matrix has {self.n_cols} columns, limit is {limit}"
             )
-        require_fits(self.colidx, limit, "column index")
-        if scheme == "crc32c":
-            lengths = self.rowptr.astype(np.int64)
-            lengths = lengths[1:] - lengths[:-1]
-            if lengths.size and int(lengths.min()) < 4:
-                raise ConfigurationError(
-                    "crc32c row protection needs >= 4 non-zeros per row "
-                    f"(found a row with {int(lengths.min())})"
-                )
-            self._length_groups = _group_rows_by_length(lengths)
-        self.nnz = self.values.size
-        # Persistent lane buffers (see _lanes_synced/_pair_lanes): the
-        # uint64 codeword views every check runs over, allocated once and
-        # refilled in place so no check materialises an (nnz, L) array.
-        self._lane_buf: np.ndarray | None = None
-        self._pair_buf: np.ndarray | None = None
+        #: Mask selecting the *data* bits of a stored column index.
+        self.index_mask = self._index_dtype(limit)
+        # Verify-in-SpMV consumes elements, so it can only screen a
+        # codeword on the element's own gather traffic when the codeword
+        # is exactly one element — and only SECDED has a syndrome kernel.
+        code = self._store.segments[0].code if row.layout and row.group == 1 else None
+        self._fused_code = code if isinstance(code, SECDEDCode) else None
         self.encode()
 
     # ------------------------------------------------------------------
-    @property
-    def n_codewords(self) -> int:
-        """Number of ECC codewords covering this container."""
-        if self.scheme == "crc32c":
-            return self.rowptr.size - 1
-        if self.scheme == "secded128":
-            return (self.nnz + 1) // 2
-        return self.nnz
-
-
-    @property
-    def index_mask(self) -> np.uint32:
-        """Mask selecting the *data* bits of a stored column index."""
-        return _LOW31 if self.scheme == "sed" else _LOW24
-
     def fused_code(self):
         """The per-element SECDED code when this container is fusible.
 
-        Verify-in-SpMV needs a codeword that is exactly one
-        ``(value, colidx)`` pair — the product consumes elements, so
-        only then can each codeword be screened on the element's own
-        gather traffic.  That is the secded64 layout; schemes whose
-        codeword spans two elements (secded128) or a whole row (crc32c,
-        and sed's parity-only codeword has no syndrome kernel) return
-        ``None`` and take the verify-then-multiply fallback.
+        A non-``None`` return means every ``(value, colidx)`` element is
+        covered by exactly one SECDED codeword, so a kernel streaming
+        elements for a product can compute syndromes on the same
+        traffic.  Schemes whose codeword spans two elements or a whole
+        row, and SED's parity-only codeword, return ``None`` and take
+        the verify-then-multiply fallback.
         """
-        if self.scheme == "secded64":
-            return csr_element_secded()
-        return None
+        return self._fused_code
 
     def colidx_clean(self, out: np.ndarray | None = None) -> np.ndarray:
         """Column indices with redundancy stripped (safe to gather with)."""
@@ -140,304 +107,13 @@ class ProtectedCSRElements:
         """Cleaned indices widened into a caller-owned int64 array.
 
         Fills the persistent pre-converted gather index the decode-free
-        SpMV path consumes, with no intermediate uint32 temporaries.
+        SpMV path consumes in one mask-and-widen pass, with no
+        intermediate temporaries.
         """
-        np.copyto(out, self.colidx, casting="same_kind")
-        np.bitwise_and(out, np.int64(self.index_mask), out=out)
-        return out
-
-    # ------------------------------------------------------------------
-    def _lanes_synced(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The persistent ``(nnz, 2)`` uint64 lane view, refreshed in place.
-
-        Only elements ``[lo, hi)`` are re-synced from live storage, so a
-        stripe check touches exactly its stripe.  The buffer itself is
-        allocated once and reused by every encode/detect/check.
-        """
-        if self._lane_buf is None:
-            self._lane_buf = np.empty((self.nnz, 2), dtype=np.uint64)
-        hi = self.nnz if hi is None else hi
-        pack_csr_element_lanes(
-            self.values[lo:hi], self.colidx[lo:hi], out=self._lane_buf[lo:hi]
-        )
-        return self._lane_buf[lo:hi]
-
-    def encode(self) -> None:
-        """(Re)compute all redundancy from current values/indices."""
-        if self.scheme == "sed":
-            data = self.colidx & _LOW31
-            p = (
-                parity64(f64_to_u64(self.values))
-                ^ (np.bitwise_count(data) & np.uint8(1))
-            ).astype(np.uint32)
-            self.colidx[:] = data | (p << np.uint32(31))
-        elif self.scheme == "secded64":
-            lanes = self._lanes_synced()
-            csr_element_secded().encode(lanes)
-            np.copyto(self.colidx, lanes[:, 1], casting="same_kind")
-        elif self.scheme == "secded128":
-            lanes = self._pair_lanes()
-            csr_element_pair_secded128().encode(lanes)
-            self._store_pair_lanes(lanes)
-            tail = self._tail_lanes()
-            if tail is not None:
-                csr_element_secded().encode(tail)
-                _, self.colidx[-1:] = unpack_csr_element_lanes(tail)
-        else:
-            self._encode_crc()
-
-    def detect(self) -> np.ndarray:
-        """Boolean corrupted-flag per codeword (detection only)."""
-        if self.scheme == "sed":
-            p = parity64(f64_to_u64(self.values)) ^ (
-                np.bitwise_count(self.colidx) & np.uint8(1)
-            )
-            return p.astype(bool)
-        if self.scheme == "secded64":
-            return csr_element_secded().detect(self._lanes_synced())
-        if self.scheme == "secded128":
-            flags = csr_element_pair_secded128().detect(self._pair_lanes())
-            tail = self._tail_lanes()
-            if tail is not None:
-                flags = np.concatenate([flags, csr_element_secded().detect(tail)])
-            return flags
-        diffs = self._crc_diff_all()
-        flags = np.zeros(self.rowptr.size - 1, dtype=bool)
-        for rows, _, diff in diffs:
-            flags[rows] = diff != 0
-        return flags
-
-    def check(
-        self, correct: bool = True, window: tuple[int, int] | None = None
-    ) -> CheckReport:
-        """Integrity check; corrects in place when possible.
-
-        ``window`` restricts the check to the codeword range ``[lo, hi)``
-        (the engine's round-robin stripes); the report then covers only
-        those codewords.  Clean data returns a compact all-OK report
-        without materialising per-codeword status.
-        """
-        lo, hi = resolve_codeword_window(window, self.n_codewords)
-        if hi <= lo:
-            return CheckReport.all_ok(0)
-        if self.scheme == "sed":
-            return self._check_sed(lo, hi)
-        if self.scheme == "secded64":
-            return self._check_secded64(correct, lo, hi)
-        if self.scheme == "secded128":
-            return self._check_secded128(correct, lo, hi)
-        return self._check_crc(correct, lo, hi)
-
-    # -- sed / secded64 internals -------------------------------------------
-    def _check_sed(self, lo: int, hi: int) -> CheckReport:
-        p = parity64(f64_to_u64(self.values[lo:hi])) ^ (
-            np.bitwise_count(self.colidx[lo:hi]) & np.uint8(1)
-        )
-        return CheckReport.from_flags(p.astype(bool))
-
-    def _check_secded64(self, correct: bool, lo: int, hi: int) -> CheckReport:
-        lanes = self._lanes_synced(lo, hi)
-        code = csr_element_secded()
-        if not correct:
-            return code.detect_report(lanes)
-        report = code.check_and_correct(lanes)
-        self._write_back_elements(lanes, report.corrected_indices(), offset=lo)
-        return report
-
-    # -- secded128 internals ------------------------------------------------
-    def _pair_lanes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Persistent pair-codeword lanes for pairs ``[lo, hi)``."""
-        n_pairs = self.nnz // 2
-        hi = n_pairs if hi is None else hi
-        if self._pair_buf is None:
-            self._pair_buf = np.empty((n_pairs, 4), dtype=np.uint64)
-        lanes = self._pair_buf[lo:hi]
-        vwords = f64_to_u64(self.values)
-        np.copyto(lanes[:, 0], vwords[2 * lo : 2 * hi : 2])
-        np.copyto(lanes[:, 1], self.colidx[2 * lo : 2 * hi : 2], casting="same_kind")
-        np.copyto(lanes[:, 2], vwords[2 * lo + 1 : 2 * hi : 2])
-        np.copyto(lanes[:, 3], self.colidx[2 * lo + 1 : 2 * hi : 2], casting="same_kind")
-        return lanes
-
-    def _tail_lanes(self) -> np.ndarray | None:
-        """The odd-element SED-style tail codeword, or None for even nnz."""
-        if self.nnz % 2 == 0:
-            return None
-        return pack_csr_element_lanes(self.values[-1:], self.colidx[-1:])
-
-    def _store_pair_lanes(
-        self, lanes: np.ndarray, only: np.ndarray | None = None, offset: int = 0
-    ) -> None:
-        """Write pair lanes back to storage (all, or the ``only`` rows)."""
-        if only is not None and only.size == 0:
-            return
-        vwords = f64_to_u64(self.values)
-        if only is None:
-            n_pairs = lanes.shape[0]
-            base = 2 * offset
-            vwords[base : base + 2 * n_pairs : 2] = lanes[:, 0]
-            self.colidx[base : base + 2 * n_pairs : 2] = (
-                lanes[:, 1] & np.uint64(0xFFFFFFFF)
-            ).astype(np.uint32)
-            vwords[base + 1 : base + 2 * n_pairs : 2] = lanes[:, 2]
-            self.colidx[base + 1 : base + 2 * n_pairs : 2] = (
-                lanes[:, 3] & np.uint64(0xFFFFFFFF)
-            ).astype(np.uint32)
-            return
-        even = (only + offset) * 2
-        vwords[even] = lanes[only, 0]
-        self.colidx[even] = (lanes[only, 1] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        vwords[even + 1] = lanes[only, 2]
-        self.colidx[even + 1] = (lanes[only, 3] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-
-    def _check_secded128(self, correct: bool, lo: int, hi: int) -> CheckReport:
-        n_pairs = self.nnz // 2
-        phi = min(hi, n_pairs)
-        parts: list[CheckReport] = []
-        if lo < phi:
-            lanes = self._pair_lanes(lo, phi)
-            code = csr_element_pair_secded128()
-            if correct:
-                report = code.check_and_correct(lanes)
-                self._store_pair_lanes(lanes, only=report.corrected_indices(), offset=lo)
-            else:
-                report = code.detect_report(lanes)
-            parts.append(report)
-        if hi > n_pairs:
-            tail = self._tail_lanes()
-            code = csr_element_secded()
-            if correct:
-                tail_report = code.check_and_correct(tail)
-                if tail_report.n_corrected:
-                    v, y = unpack_csr_element_lanes(tail)
-                    self.values[-1:] = v
-                    self.colidx[-1:] = y
-            else:
-                tail_report = code.detect_report(tail)
-            parts.append(tail_report)
-        return CheckReport.concat(parts)
-
-    def _write_back_elements(
-        self, lanes: np.ndarray, idx: np.ndarray, offset: int = 0
-    ) -> None:
-        if idx.size == 0:
-            return
-        v, y = unpack_csr_element_lanes(lanes[idx])
-        self.values[offset + idx] = v
-        self.colidx[offset + idx] = y
-
-    # -- crc32c internals -----------------------------------------------------
-    def _row_streams(self, rows: np.ndarray, length: int):
-        """(stream bytes, stored crc, element index matrix) for equal-length rows."""
-        starts = self.rowptr[rows].astype(np.int64)
-        elems = starts[:, None] + np.arange(length)
-        vals = np.ascontiguousarray(self.values[elems])
-        idxs = np.ascontiguousarray(self.colidx[elems])
-        masked = idxs.copy()
-        masked[:, :4] &= _LOW24
-        stream = np.concatenate(
-            [vals.view(np.uint8).reshape(len(rows), 8 * length),
-             masked.view(np.uint8).reshape(len(rows), 4 * length)],
-            axis=1,
-        )
-        stored = np.zeros(len(rows), dtype=np.uint32)
-        for j in range(4):
-            stored |= (idxs[:, j] >> np.uint32(24)) << np.uint32(8 * j)
-        return stream, stored, elems
-
-    def _encode_crc(self) -> None:
-        for rows, length in self._length_groups:
-            starts = self.rowptr[rows].astype(np.int64)
-            elems = starts[:, None] + np.arange(length)
-            # Clear the four checksum bytes, then recompute and store.
-            for j in range(4):
-                self.colidx[elems[:, j]] &= _LOW24
-            stream, _, _ = self._row_streams(rows, length)
-            crc = crc32c_batch(stream)
-            for j in range(4):
-                chunk = ((crc >> np.uint32(8 * j)) & np.uint32(0xFF)).astype(np.uint32)
-                self.colidx[elems[:, j]] |= chunk << np.uint32(24)
-
-    def _crc_diff_all(self, lo: int = 0, hi: int | None = None):
-        hi = self.rowptr.size - 1 if hi is None else hi
-        out = []
-        for rows, length in self._length_groups:
-            if lo > 0 or hi < self.rowptr.size - 1:
-                rows = rows[(rows >= lo) & (rows < hi)]
-                if not rows.size:
-                    continue
-            stream, stored, elems = self._row_streams(rows, length)
-            diff = crc32c_batch(stream) ^ stored
-            out.append((rows, length, diff))
-        return out
-
-    def _check_crc(self, correct: bool, lo: int, hi: int) -> CheckReport:
-        diffs = self._crc_diff_all(lo, hi)
-        if not any(diff.any() for _, _, diff in diffs):
-            return CheckReport.all_ok(hi - lo)
-        if not correct:
-            status = np.zeros(hi - lo, dtype=np.uint8)
-            for rows, _, diff in diffs:
-                status[rows[diff != 0] - lo] = CodewordStatus.UNCORRECTABLE
-            return CheckReport(status=status)
-        status = np.zeros(hi - lo, dtype=np.uint8)
-        for rows, length, diff in diffs:
-            bad = np.flatnonzero(diff)
-            if not bad.size:
-                continue
-            corrector = corrector_for(12 * length)
-            max_errors = max_errors_for_mode(self.crc_mode, corrector.hd6)
-            if max_errors == 0:  # 5ED: detection-only operating point
-                status[rows[bad] - lo] = CodewordStatus.UNCORRECTABLE
-                continue
-            vwords = f64_to_u64(self.values)
-            for k in bad:
-                row = rows[k]
-                start = int(self.rowptr[row])
-                located = corrector.locate(int(diff[k]), max_errors=max_errors)
-                if located is None or not all(
-                    self._crc_bit_possible(bit, length, corrector) for bit in located
-                ):
-                    status[row - lo] = CodewordStatus.UNCORRECTABLE
-                    continue
-                for bit in located:
-                    self._crc_apply_flip(bit, start, length, corrector, vwords)
-                status[row - lo] = CodewordStatus.CORRECTED
-        return CheckReport(status=status)
-
-    @staticmethod
-    def _crc_bit_possible(bit: int, length: int, corrector) -> bool:
-        """Reject locations pointing at the masked checksum bytes in the stream."""
-        if bit >= corrector.n_data_bits:
-            return True  # stored-checksum bit: always physical
-        b = bit - 64 * length
-        if b < 0:
-            return True  # value bits are physical
-        elem, pos = divmod(b, 32)
-        return not (elem < 4 and pos >= 24)
-
-    def _crc_apply_flip(self, bit, start, length, corrector, vwords) -> None:
-        if bit >= corrector.n_data_bits:
-            j = bit - corrector.n_data_bits  # stored checksum bit j
-            self.colidx[start + j // 8] ^= np.uint32(1) << np.uint32(24 + j % 8)
-        elif bit < 64 * length:
-            elem, pos = divmod(bit, 64)
-            vwords[start + elem] ^= _ONE << np.uint64(pos)
-        else:
-            elem, pos = divmod(bit - 64 * length, 32)
-            self.colidx[start + elem] ^= np.uint32(1) << np.uint32(pos)
+        return self.colidx_clean(out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ProtectedCSRElements(nnz={self.nnz}, scheme={self.scheme!r}, "
+            f"{type(self).__name__}(nnz={self.nnz}, scheme={self.scheme!r}, "
             f"codewords={self.n_codewords})"
         )
-
-
-def _group_rows_by_length(lengths: np.ndarray):
-    """[(row indices, length), ...] for batch processing of ragged rows."""
-    groups = []
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        groups.append((rows, int(length)))
-    return groups

@@ -22,73 +22,6 @@ from repro.protect.csr_elements import ProtectedCSRElements
 from repro.protect.row_pointer import ProtectedRowPointer
 
 
-class _UnprotectedElements:
-    """Passthrough used when only the other region is protected."""
-
-    scheme = None
-
-    def __init__(self, values: np.ndarray, colidx: np.ndarray):
-        self.values = values
-        self.colidx = colidx
-        self.nnz = values.size
-        self.n_codewords = 0
-
-    def colidx_clean(self, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return self.colidx
-        np.copyto(out, self.colidx)
-        return out
-
-    def colidx_clean64(self, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self.colidx, casting="same_kind")
-        return out
-
-    def detect(self) -> np.ndarray:
-        return np.zeros(0, dtype=bool)
-
-    def check(
-        self, correct: bool = True, window: tuple[int, int] | None = None
-    ) -> CheckReport:
-        return CheckReport.all_ok(0)
-
-    def fused_code(self):
-        return None
-
-
-class _UnprotectedRowPointer:
-    """Passthrough row pointer (no redundancy embedded)."""
-
-    scheme = None
-
-    def __init__(self, rowptr: np.ndarray):
-        self.raw = rowptr
-        self.n_codewords = 0
-
-    def clean(self, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            return self.raw
-        np.copyto(out, self.raw)
-        return out
-
-    def clean64(self, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, self.raw, casting="same_kind")
-        return out
-
-    def detect(self) -> np.ndarray:
-        return np.zeros(0, dtype=bool)
-
-    def check(
-        self, correct: bool = True, window: tuple[int, int] | None = None
-    ) -> CheckReport:
-        return CheckReport.all_ok(0)
-
-    def verify_and_clean64(
-        self, out: np.ndarray, correct: bool = True
-    ) -> CheckReport:
-        np.copyto(out, self.raw, casting="same_kind")
-        return CheckReport.all_ok(0)
-
-
 class ProtectedCSRMatrix:
     """A CSR matrix whose three vectors all carry embedded ECC.
 
@@ -101,7 +34,7 @@ class ProtectedCSRMatrix:
     element_scheme / rowptr_scheme:
         Any of ``sed``, ``secded64``, ``secded128``, ``crc32c`` — mixed
         freely, as in the paper — or ``None`` to leave that region
-        without redundancy (a passthrough over its own copy).
+        without redundancy (the table's null row over its own copy).
     """
 
     def __init__(
@@ -110,40 +43,34 @@ class ProtectedCSRMatrix:
         element_scheme: str | None = "secded64",
         rowptr_scheme: str | None = "secded64",
     ):
-        if rowptr_scheme is None:
-            rowptr = _UnprotectedRowPointer(matrix.rowptr.copy())
-        else:
-            rowptr = ProtectedRowPointer(matrix.rowptr, rowptr_scheme)
-        if element_scheme is None:
-            elements = _UnprotectedElements(
-                matrix.values.copy(), matrix.colidx.copy()
-            )
-        else:
-            elements = ProtectedCSRElements(
-                matrix.values.copy(),
-                matrix.colidx.copy(),
-                rowptr.clean(),  # trusted structure at build time
-                matrix.shape[1],
-                element_scheme,
-            )
+        rowptr = ProtectedRowPointer(matrix.rowptr, rowptr_scheme)
+        elements = ProtectedCSRElements(
+            matrix.values.copy(),
+            matrix.colidx.copy(),
+            rowptr.clean(),  # trusted structure at build time
+            matrix.shape[1],
+            element_scheme,
+        )
         self._adopt(matrix.shape, elements, rowptr)
 
     @classmethod
     def _alias(cls, matrix: CSRMatrix) -> "ProtectedCSRMatrix":
-        """The null codec over the caller's own arrays — no copy.
+        """The null codec over the caller's own element arrays — no copy.
 
         What ``repro.solve`` wraps an unprotected CG in: both regions
-        are passthroughs *aliasing* ``matrix``, so the baseline runs the
-        same kernels and runners at no memory cost.  Private because the
-        no-copy is only sound for a wrap nothing writes through (no
-        injection, no re-encode); everything else goes through the
-        copying constructor.
+        are null rows and the elements *alias* ``matrix`` (the row
+        pointer container keeps its own ``n_rows + 1`` entries), so the
+        baseline runs the same kernels and runners at no nnz-sized
+        memory cost.  Private because the no-copy is only sound for a
+        wrap nothing writes through (no injection, no re-encode);
+        everything else goes through the copying constructor.
         """
         pmat = cls.__new__(cls)
         pmat._adopt(
             matrix.shape,
-            _UnprotectedElements(matrix.values, matrix.colidx),
-            _UnprotectedRowPointer(matrix.rowptr),
+            ProtectedCSRElements(matrix.values, matrix.colidx, matrix.rowptr,
+                                 matrix.shape[1], None),
+            ProtectedRowPointer(matrix.rowptr, None),
         )
         return pmat
 
@@ -570,12 +497,9 @@ class ProtectedCSRMatrix:
         """
         np.copyto(self.values, source.values)
         np.copyto(self.colidx, source.colidx)
-        if hasattr(self.elements, "encode"):
-            self.elements.encode()
-        rp = self.rowptr_protected
-        np.copyto(rp.raw, source.rowptr)
-        if hasattr(rp, "encode"):
-            rp.encode()
+        self.elements.encode()
+        np.copyto(self.rowptr, source.rowptr)
+        self.rowptr_protected.encode()
         self.invalidate_clean_views()
 
     def to_csr(self) -> CSRMatrix:

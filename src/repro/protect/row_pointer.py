@@ -14,55 +14,49 @@ crc32c       8     4                  2**28 - 1
 
 Multi-entry codewords amortise the redundancy ("our new scheme allows us
 to split the redundancy bits between 2, 4 and 8 elements").  A tail of
-``len % group`` entries falls back to per-entry SED in bit 31 — the top
-nibble of a tail entry is zero and covered by that parity.
+``len % group`` entries falls back to per-entry SED in the top bit — the
+other reserved bits of a tail entry are zero and covered by that parity.
 
-The CRC32C stream is the group's 32 bytes with every top nibble zeroed;
-checksum nibble ``e`` (crc bits ``4e..4e+3``) is stored in entry ``e``'s
-top nibble.
+These are the ``row_pointer`` rows of
+:data:`~repro.protect.codeword_store.CODEWORD_TABLE`.  The CRC32C stream
+is the group's 32 bytes with every top nibble read as zero; checksum
+nibble ``e`` (crc bits ``4e..4e+3``) is stored in entry ``e``'s top
+nibble.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bits.packing import pack_u32_lanes, unpack_u32_lanes
-from repro.ecc.base import CheckReport, CodewordStatus
-from repro.ecc.crc32c import crc32c_batch
-from repro.ecc.crc_correct import corrector_for, max_errors_for_mode
-from repro.ecc.profiles import rowptr_secded64, rowptr_secded128
-from repro.errors import ConfigurationError
-from repro.protect.base import (
-    GROUPS,
-    ROWPTR_SCHEMES,
-    require_fits,
-    resolve_codeword_window,
-    rowptr_value_limit,
-)
-
-_LOW28 = np.uint32(0x0FFFFFFF)
-_LOW31 = np.uint32(0x7FFFFFFF)
+from repro.ecc.base import CheckReport
+from repro.protect.codeword_store import CodewordRegion, CodewordStore
 
 
-class ProtectedRowPointer:
-    """The protected row-pointer (*x*) vector of a CSR matrix."""
+class ProtectedRowPointer(CodewordRegion):
+    """The protected row-pointer (*x*) vector of a CSR matrix.
 
-    def __init__(self, rowptr: np.ndarray, scheme: str = "secded64",
+    ``raw`` is the container's own copy of the entries, redundancy
+    embedded.  Scheme ``None`` is the null row: no codewords, nothing
+    reserved.
+    """
+
+    _structure = "row_pointer"
+    _dtype = np.uint32
+
+    def __init__(self, rowptr: np.ndarray, scheme: str | None = "secded64",
                  crc_mode: str = "2EC3ED"):
-        if scheme not in ROWPTR_SCHEMES:
-            raise ConfigurationError(
-                f"unknown rowptr scheme {scheme!r}; choose from {sorted(ROWPTR_SCHEMES)}"
-            )
         self.scheme = scheme
         self.crc_mode = crc_mode
-        max_errors_for_mode(crc_mode, True)  # validate eagerly
-        self.group = GROUPS["rowptr"][scheme]
-        self.raw = np.ascontiguousarray(rowptr, dtype=np.uint32).copy()
-        require_fits(self.raw, rowptr_value_limit(scheme), "row pointer")
+        self.raw = np.ascontiguousarray(rowptr, dtype=self._dtype).copy()
+        self._store = CodewordStore(self._structure, scheme, (self.raw,), crc_mode)
+        row = self._store.row
+        #: Entries per codeword.
+        self.group = row.group
         self._n_grouped = (self.raw.size // self.group) * self.group
-        # Persistent lane buffer for the grouped codewords; refilled in
-        # place by _lanes_synced so checks allocate nothing sizeable.
-        self._lane_buf: np.ndarray | None = None
+        bits = 8 * self.raw.itemsize
+        #: Bit mask of the row-pointer bits that hold data rather than ECC.
+        self.entry_mask = self._dtype(row.limit(bits))
+        self._tail_mask = self._dtype((1 << (bits - row.tail_reserved)) - 1)
         self.encode()
 
     # ------------------------------------------------------------------
@@ -74,38 +68,23 @@ class ProtectedRowPointer:
         """Number of entries in the final, partial codeword group."""
         return self.raw.size - self._n_grouped
 
-    @property
-    def n_codewords(self) -> int:
-        """Number of ECC codewords covering this container."""
-        return self._n_grouped // self.group + self.tail_size
-
-    @property
-    def entry_mask(self) -> np.uint32:
-        """Bit mask of the row-pointer bits that hold data rather than ECC."""
-        return _LOW31 if self.scheme == "sed" else _LOW28
-
     def clean(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Row-pointer values with redundancy stripped."""
+        """Row-pointer values with redundancy stripped (``out`` may be wider)."""
         if out is None:
             out = np.empty_like(self.raw)
         np.bitwise_and(self.raw, self.entry_mask, out=out)
         if self.tail_size:
-            out[self._n_grouped :] = self.raw[self._n_grouped :] & _LOW31
+            out[self._n_grouped :] = self.raw[self._n_grouped :] & self._tail_mask
         return out
 
     def clean64(self, out: np.ndarray) -> np.ndarray:
         """Redundancy-stripped values widened into a caller-owned int64 array.
 
         The decode-free SpMV path keeps a persistent pre-converted index
-        snapshot; this fills it without intermediate uint32 temporaries.
+        snapshot; this fills it in one mask-and-widen pass, without
+        intermediate temporaries.
         """
-        np.copyto(out, self.raw, casting="same_kind")
-        np.bitwise_and(out, np.int64(self.entry_mask), out=out)
-        if self.tail_size:
-            tail = out[self._n_grouped :]
-            np.copyto(tail, self.raw[self._n_grouped :], casting="same_kind")
-            np.bitwise_and(tail, np.int64(_LOW31), out=tail)
-        return out
+        return self.clean(out)
 
     def verify_and_clean64(
         self, out: np.ndarray, correct: bool = True
@@ -124,176 +103,5 @@ class ProtectedRowPointer:
             self.clean64(out)
         return report
 
-    # ------------------------------------------------------------------
-    def _lanes_synced(self, glo: int = 0, ghi: int | None = None) -> np.ndarray:
-        """Persistent grouped-codeword lanes for groups ``[glo, ghi)``."""
-        n_groups = self._n_grouped // self.group
-        ghi = n_groups if ghi is None else ghi
-        if self._lane_buf is None:
-            n_lanes = (self.group + 1) // 2
-            self._lane_buf = np.empty((n_groups, n_lanes), dtype=np.uint64)
-        pack_u32_lanes(
-            self.raw[glo * self.group : ghi * self.group],
-            self.group,
-            out=self._lane_buf[glo:ghi],
-        )
-        return self._lane_buf[glo:ghi]
-    def encode(self) -> None:
-        """(Re-)compute and embed the ECC bits over the current storage."""
-        if self.scheme == "sed":
-            data = self.raw & _LOW31
-            p = (np.bitwise_count(data) & np.uint8(1)).astype(np.uint32)
-            self.raw[:] = data | (p << np.uint32(31))
-            return
-        if self._n_grouped:
-            body = self.raw[: self._n_grouped]
-            lanes = self._lanes_synced()
-            if self.scheme == "secded64":
-                rowptr_secded64().encode(lanes)
-            elif self.scheme == "secded128":
-                rowptr_secded128().encode(lanes)
-            else:
-                self._encode_crc(lanes)
-            body[:] = unpack_u32_lanes(lanes, self.group)
-        self._encode_tail()
-
-    def _encode_tail(self) -> None:
-        if not self.tail_size:
-            return
-        tail = self.raw[self._n_grouped :]
-        data = tail & _LOW31
-        p = (np.bitwise_count(data) & np.uint8(1)).astype(np.uint32)
-        tail[:] = data | (p << np.uint32(31))
-
-    # ------------------------------------------------------------------
-    def detect(self) -> np.ndarray:
-        """Per-codeword error flags from one syndrome pass; never corrects."""
-        if self.scheme == "sed":
-            return (np.bitwise_count(self.raw) & np.uint8(1)).astype(bool)
-        flags = np.zeros(0, dtype=bool)
-        if self._n_grouped:
-            lanes = self._lanes_synced()
-            if self.scheme == "secded64":
-                flags = rowptr_secded64().detect(lanes)
-            elif self.scheme == "secded128":
-                flags = rowptr_secded128().detect(lanes)
-            else:
-                flags = self._crc_diff(lanes) != 0
-        if self.tail_size:
-            tail_flags = (
-                np.bitwise_count(self.raw[self._n_grouped :]) & np.uint8(1)
-            ).astype(bool)
-            flags = np.concatenate([flags, tail_flags])
-        return flags
-
-    def _code(self):
-        return rowptr_secded64() if self.scheme == "secded64" else rowptr_secded128()
-
-    def check(
-        self, correct: bool = True, window: tuple[int, int] | None = None
-    ) -> CheckReport:
-        """Integrity check, optionally over the codeword range ``window``.
-
-        As for the CSR elements, clean codewords come back as a compact
-        all-OK report so the scheduled hot path allocates nothing
-        proportional to the matrix.
-        """
-        lo, hi = resolve_codeword_window(window, self.n_codewords)
-        if hi <= lo:
-            return CheckReport.all_ok(0)
-        if self.scheme == "sed":
-            return self._check_sed_entries(self.raw[lo:hi])
-        n_groups = self._n_grouped // self.group
-        parts: list[CheckReport] = []
-        glo, ghi = lo, min(hi, n_groups)
-        if glo < ghi:
-            lanes = self._lanes_synced(glo, ghi)
-            if self.scheme == "crc32c":
-                report = self._check_crc(lanes) if correct else self._detect_crc(lanes)
-            elif correct:
-                report = self._code().check_and_correct(lanes)
-            else:
-                report = self._code().detect_report(lanes)
-            if report.n_corrected:
-                body = self.raw[glo * self.group : ghi * self.group]
-                body[:] = unpack_u32_lanes(lanes, self.group)
-            parts.append(report)
-        if hi > n_groups:
-            tlo = self._n_grouped + (max(lo, n_groups) - n_groups)
-            thi = self._n_grouped + (hi - n_groups)
-            parts.append(self._check_sed_entries(self.raw[tlo:thi]))
-        return CheckReport.concat(parts)
-
-    @staticmethod
-    def _check_sed_entries(entries: np.ndarray) -> CheckReport:
-        """Per-entry SED parity verdicts (whole-vector SED and tails)."""
-        flags = (np.bitwise_count(entries) & np.uint8(1)).astype(bool)
-        return CheckReport.from_flags(flags)
-
-    def _detect_crc(self, lanes: np.ndarray) -> CheckReport:
-        return CheckReport.from_flags(self._crc_diff(lanes) != 0)
-
-    # -- crc32c internals ---------------------------------------------------
-    @staticmethod
-    def _lanes_to_u32(lanes: np.ndarray) -> np.ndarray:
-        """(N, 8) uint32 view of the group entries."""
-        return (
-            np.ascontiguousarray(lanes)
-            .view(np.uint32)
-            .reshape(lanes.shape[0], 8)
-        )
-
-    def _crc_stream(self, lanes: np.ndarray) -> np.ndarray:
-        entries = self._lanes_to_u32(lanes)
-        masked = entries & _LOW28
-        return masked.view(np.uint8).reshape(lanes.shape[0], 32)
-
-    def _stored_crc(self, lanes: np.ndarray) -> np.ndarray:
-        entries = self._lanes_to_u32(lanes)
-        stored = np.zeros(lanes.shape[0], dtype=np.uint32)
-        for e in range(8):
-            nibble = entries[:, e] >> np.uint32(28)
-            stored |= nibble << np.uint32(4 * e)
-        return stored
-
-    def _crc_diff(self, lanes: np.ndarray) -> np.ndarray:
-        return crc32c_batch(self._crc_stream(lanes)) ^ self._stored_crc(lanes)
-
-    def _encode_crc(self, lanes: np.ndarray) -> None:
-        crc = crc32c_batch(self._crc_stream(lanes))
-        entries = self._lanes_to_u32(lanes)
-        for e in range(8):
-            nibble = (crc >> np.uint32(4 * e)) & np.uint32(0xF)
-            entries[:, e] = (entries[:, e] & _LOW28) | (nibble << np.uint32(28))
-        # entries is a view over `lanes`, so the update is already in place.
-
-    def _check_crc(self, lanes: np.ndarray) -> CheckReport:
-        diff = self._crc_diff(lanes)
-        status = np.zeros(lanes.shape[0], dtype=np.uint8)
-        bad = np.flatnonzero(diff)
-        if bad.size:
-            corrector = corrector_for(32)
-            entries = self._lanes_to_u32(lanes)
-            max_errors = max_errors_for_mode(self.crc_mode, corrector.hd6)
-            if max_errors == 0:  # 5ED: detection-only operating point
-                status[bad] = CodewordStatus.UNCORRECTABLE
-                return CheckReport(status=status)
-            for g in bad:
-                located = corrector.locate(int(diff[g]), max_errors=max_errors)
-                if located is None or any(
-                    bit < corrector.n_data_bits and (bit % 32) >= 28 for bit in located
-                ):
-                    status[g] = CodewordStatus.UNCORRECTABLE
-                    continue
-                for bit in located:
-                    if bit < corrector.n_data_bits:
-                        e, b = divmod(bit, 32)
-                    else:
-                        j = bit - corrector.n_data_bits
-                        e, b = j // 4, 28 + j % 4
-                    entries[g, e] ^= np.uint32(1) << np.uint32(b)
-                status[g] = CodewordStatus.CORRECTED
-        return CheckReport(status=status)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProtectedRowPointer(n={self.raw.size}, scheme={self.scheme!r})"
+        return f"{type(self).__name__}(n={self.raw.size}, scheme={self.scheme!r})"

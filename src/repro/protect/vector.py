@@ -37,15 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bits.float_bits import f64_to_u64
-from repro.bits.popcount import parity64
-from repro.ecc.base import CheckReport, CodewordStatus
-from repro.ecc.crc32c import crc32c_batch
-from repro.ecc.crc_correct import corrector_for, max_errors_for_mode
-from repro.ecc.profiles import vector_secded64, vector_secded128
+from repro.ecc.base import CheckReport
 from repro.errors import ConfigurationError, DetectedUncorrectableError
-from repro.protect.base import GROUPS, VECTOR_SCHEMES
-
-_ONE = np.uint64(1)
+from repro.protect.codeword_store import CodewordStore
 
 
 class ProtectedVector:
@@ -62,23 +56,26 @@ class ProtectedVector:
 
     def __init__(self, values: np.ndarray, scheme: str = "secded64",
                  crc_mode: str = "2EC3ED"):
-        if scheme not in VECTOR_SCHEMES:
-            raise ConfigurationError(
-                f"unknown vector scheme {scheme!r}; choose from {sorted(VECTOR_SCHEMES)}"
-            )
         self.scheme = scheme
         self.crc_mode = crc_mode
-        max_errors_for_mode(crc_mode, True)  # validate eagerly
-        self.reserved_bits = VECTOR_SCHEMES[scheme]
-        self.group = GROUPS["vector"][scheme]
         self.raw = np.array(values, dtype=np.float64, copy=True)
         if self.raw.ndim != 1:
             raise ConfigurationError("ProtectedVector expects a 1-D array")
+        # The store checks and encodes the uint64 view in place: no lane copy.
+        self._store = CodewordStore("vector", scheme, (f64_to_u64(self.raw),), crc_mode)
+        row = self._store.row
+        #: Mantissa LSBs reserved per grouped element.
+        self.reserved_bits = row.reserved[0]
+        #: Elements per codeword.
+        self.group = row.group
         self._n_grouped = (self.raw.size // self.group) * self.group
+        # Decode masks: reserved LSBs to zero (the tail reserves its own).
+        self._data_mask = ~np.uint64((1 << self.reserved_bits) - 1)
+        self._tail_mask = ~np.uint64((1 << row.tail_reserved) - 1)
         self._cache: np.ndarray | None = None
         self._cache_ro: np.ndarray | None = None
         self._dirty: tuple[int, int] | None = None
-        self._encode_all()
+        self._store.encode()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -92,7 +89,7 @@ class ProtectedVector:
     @property
     def n_codewords(self) -> int:
         """Grouped codewords plus per-element SED tail codewords."""
-        return self._n_grouped // self.group + (self.raw.size - self._n_grouped)
+        return self._store.n_codewords
 
     @property
     def tail_size(self) -> int:
@@ -117,12 +114,7 @@ class ProtectedVector:
         if self._dirty is not None:
             np.copyto(out, self._cache)
             return out
-        words = f64_to_u64(self.raw)
-        out_words = f64_to_u64(out)
-        np.bitwise_and(words, self._data_mask_word(), out=out_words)
-        if self.tail_size:
-            tail = f64_to_u64(self.raw[self._n_grouped :])
-            out_words[self._n_grouped :] = tail & ~_ONE
+        self._decode_into(out, 0, self.raw.size)
         return out
 
     def view(self) -> np.ndarray:
@@ -188,7 +180,7 @@ class ProtectedVector:
             self.flush()
         if window is None:
             np.copyto(self.raw, new_values)
-            self._encode_all()
+            self._store.encode()
         else:
             self._guard_partial_lanes(lo, hi)
             self.raw[lo:hi] = new_values
@@ -229,7 +221,7 @@ class ProtectedVector:
             return False
         self._dirty = None
         np.copyto(self.raw, self._cache)
-        self._encode_all()
+        self._store.encode()
         self._refresh_cache_slice(0, self.raw.size)
         return True
 
@@ -241,7 +233,7 @@ class ProtectedVector:
         the vector's logical content, not a stale snapshot.
         """
         self.flush()
-        return self._detect_raw()
+        return self._store.detect()
 
     def check(self, correct: bool = True) -> CheckReport:
         """Full integrity check; single-bit errors repaired when possible.
@@ -250,56 +242,13 @@ class ProtectedVector:
         :meth:`view` observes the repaired values.
         """
         self.flush()
-        report = self._check_impl(correct)
+        report = self._store.check(correct)
         if self._cache is not None and report.n_corrected:
             self._cache = None
             self._cache_ro = None
         return report
 
-    def _check_impl(self, correct: bool) -> CheckReport:
-        if not correct:
-            if self._scan_raw() == 0:
-                return CheckReport.all_ok(self.n_codewords)
-            return CheckReport.from_flags(self._detect_raw())
-        main = self._check_main()
-        if not self.tail_size:
-            return main
-        tail_flags = parity64(f64_to_u64(self.raw[self._n_grouped :]))
-        if main._status is None and not tail_flags.any():
-            return CheckReport.all_ok(self.n_codewords)
-        tail_status = np.where(
-            tail_flags.astype(bool),
-            np.uint8(CodewordStatus.UNCORRECTABLE),
-            np.uint8(CodewordStatus.OK),
-        )
-        return CheckReport(status=np.concatenate([main.status, tail_status]))
-
-    def _scan_raw(self) -> int:
-        """Corrupted-codeword count over raw storage, allocation-free.
-
-        The SECDED schemes run the backend's fused scan over the in-place
-        lane view; SED/CRC fall back to the flag pass (their vectors are
-        not the allocation-sensitive hot path).
-        """
-        if self.scheme == "secded64":
-            bad = vector_secded64().scan(self._grouped_lanes()) if self._n_grouped else 0
-        elif self.scheme == "secded128":
-            bad = vector_secded128().scan(self._grouped_lanes()) if self._n_grouped else 0
-        else:
-            return int(np.count_nonzero(self._detect_raw()))
-        if self.tail_size:
-            bad += int(np.count_nonzero(parity64(f64_to_u64(self.raw[self._n_grouped :]))))
-        return bad
-
     # ------------------------------------------------------------------
-    def _data_mask_word(self) -> np.uint64:
-        return np.uint64(~np.uint64((1 << self.reserved_bits) - 1))
-
-    def _grouped_lanes(self) -> np.ndarray:
-        """In-place uint64 lane view over the grouped prefix."""
-        words = f64_to_u64(self.raw)
-        return words[: self._n_grouped].reshape(-1, self.group)
-
     def _ensure_cache(self, trusted: bool = False) -> None:
         """Populate the plain cache from storage, verifying lineage first.
 
@@ -313,22 +262,13 @@ class ProtectedVector:
         """
         if self._cache is not None:
             return
-        if not trusted and self._scan_raw():
-            flags = self._detect_raw()
+        if not trusted and self._store.scan():
             raise DetectedUncorrectableError(
-                "vector", np.flatnonzero(flags)[:8].tolist()
+                "vector", np.flatnonzero(self._store.detect())[:8].tolist()
             )
         self._cache = self.values()
         self._cache_ro = self._cache.view()
         self._cache_ro.flags.writeable = False
-
-    def _detect_raw(self) -> np.ndarray:
-        """Per-codeword corrupted flags over raw storage (no flush)."""
-        main = self._detect_main()
-        if not self.tail_size:
-            return main
-        tail = parity64(f64_to_u64(self.raw[self._n_grouped :])).astype(bool)
-        return np.concatenate([main, tail])
 
     def _guard_partial_lanes(self, lo: int, hi: int) -> None:
         """Refuse to re-bless unverified lane-mates of a partial write.
@@ -340,33 +280,13 @@ class ProtectedVector:
         are detect-checked first; corruption anywhere in them raises
         (conservatively — even a flip in the part being overwritten).
         """
-        if self.group == 1:
-            return  # single-element lanes are always fully overwritten
-        alo, ahi = self._align_window(lo, hi)
-        boundaries = []
-        if alo < lo:
-            boundaries.append(alo)
-        if hi < self._n_grouped and ahi > hi:
-            last = ahi - self.group
-            if last not in boundaries:
-                boundaries.append(last)
-        bad = []
-        words = f64_to_u64(self.raw)
-        for start in boundaries:
-            lane = words[start : start + self.group].reshape(1, self.group)
-            if self._detect_lanes(lane):
-                bad.append(start // self.group)
+        # A lane is partially written when a window edge falls inside it;
+        # single-element lanes (and the 1-wide tail) never are.
+        g = self.group
+        lanes = {e // g for e in (lo, hi) if e % g and e < self._n_grouped}
+        bad = sorted(k for k in lanes if self._store.detect((k, k + 1))[0])
         if bad:
             raise DetectedUncorrectableError("vector", bad)
-
-    def _detect_lanes(self, lanes: np.ndarray) -> bool:
-        if self.scheme == "sed":
-            return bool(parity64(lanes[:, 0]).any())
-        if self.scheme == "secded64":
-            return bool(vector_secded64().detect(lanes).any())
-        if self.scheme == "secded128":
-            return bool(vector_secded128().detect(lanes).any())
-        return bool((self._crc_diff(lanes) != 0).any())
 
     def _mark_dirty(self, lo: int, hi: int) -> None:
         if self._dirty is None:
@@ -387,133 +307,29 @@ class ProtectedVector:
             hi = -(-hi // g) * g
         return lo, hi
 
+    def _codeword_of(self, element: int) -> int:
+        """Codeword index of a lane-aligned element (tail: one each)."""
+        if element <= self._n_grouped:
+            return element // self.group
+        return self._n_grouped // self.group + element - self._n_grouped
+
     def _encode_window(self, lo: int, hi: int) -> tuple[int, int]:
         """Re-encode the codeword lanes covering elements ``[lo, hi)``."""
         lo, hi = self._align_window(lo, hi)
-        ghi = min(hi, self._n_grouped)
-        if lo < ghi:
-            words = f64_to_u64(self.raw)
-            self._encode_lanes(words[lo:ghi].reshape(-1, self.group))
-        tlo = max(lo, self._n_grouped)
-        if tlo < hi:
-            tail = f64_to_u64(self.raw[tlo:hi])
-            np.bitwise_and(tail, ~_ONE, out=tail)
-            tail |= parity64(tail).astype(np.uint64)
+        self._store.encode((self._codeword_of(lo), self._codeword_of(hi)))
         return lo, hi
 
-    def _encode_all(self) -> None:
-        if self.raw.size:
-            self._encode_window(0, self.raw.size)
-
-    def _encode_lanes(self, lanes: np.ndarray) -> None:
-        if self.scheme == "sed":
-            np.bitwise_and(lanes, ~_ONE, out=lanes)
-            p = parity64(lanes[:, 0]).astype(np.uint64)
-            lanes[:, 0] |= p
-        elif self.scheme == "secded64":
-            vector_secded64().encode(lanes)
-        elif self.scheme == "secded128":
-            vector_secded128().encode(lanes)
-        else:  # crc32c
-            self._encode_crc(lanes)
+    def _decode_into(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """The masked decode of ``raw[lo:hi]``, into the same slice of ``out``."""
+        words, out_words = f64_to_u64(self.raw), f64_to_u64(out)
+        split = min(max(lo, self._n_grouped), hi)
+        np.bitwise_and(words[lo:split], self._data_mask, out=out_words[lo:split])
+        np.bitwise_and(words[split:hi], self._tail_mask, out=out_words[split:hi])
 
     def _refresh_cache_slice(self, lo: int, hi: int) -> None:
         """Mirror the masked decode of ``raw[lo:hi]`` into the cache."""
-        if self._cache is None:
-            return
-        words = f64_to_u64(self.raw)
-        cache_words = f64_to_u64(self._cache)
-        ghi = min(hi, self._n_grouped)
-        if lo < ghi:
-            cache_words[lo:ghi] = words[lo:ghi] & self._data_mask_word()
-        tlo = max(lo, self._n_grouped)
-        if tlo < hi:
-            cache_words[tlo:hi] = words[tlo:hi] & ~_ONE
-
-    # -- scheme internals --------------------------------------------------
-    def _detect_main(self) -> np.ndarray:
-        if not self._n_grouped:
-            return np.zeros(0, dtype=bool)
-        lanes = self._grouped_lanes()
-        if self.scheme == "sed":
-            return parity64(lanes[:, 0]).astype(bool)
-        if self.scheme == "secded64":
-            return vector_secded64().detect(lanes)
-        if self.scheme == "secded128":
-            return vector_secded128().detect(lanes)
-        return self._crc_diff(lanes) != 0
-
-    def _check_main(self) -> CheckReport:
-        lanes = self._grouped_lanes() if self._n_grouped else np.zeros((0, 1), np.uint64)
-        if self.scheme == "sed":
-            flags = parity64(lanes[:, 0]) if self._n_grouped else np.zeros(0, np.uint8)
-            status = np.where(
-                flags.astype(bool),
-                np.uint8(CodewordStatus.UNCORRECTABLE),
-                np.uint8(CodewordStatus.OK),
-            )
-            return CheckReport(status=status)
-        if self.scheme == "secded64":
-            return vector_secded64().check_and_correct(lanes)
-        if self.scheme == "secded128":
-            return vector_secded128().check_and_correct(lanes)
-        return self._check_crc(lanes)
-
-    # CRC32C over groups of four doubles: the stream is the 32 bytes of
-    # the group with byte 0 (the 8 reserved LSBs) of each double zeroed;
-    # CRC byte j is stored in byte 0 of double j.
-    def _group_bytes(self, lanes: np.ndarray) -> np.ndarray:
-        raw = np.ascontiguousarray(lanes).view(np.uint8).reshape(-1, 8 * self.group)
-        stream = raw.copy()
-        stream[:, 0::8] = 0
-        return stream
-
-    def _stored_crc(self, lanes: np.ndarray) -> np.ndarray:
-        raw = np.ascontiguousarray(lanes).view(np.uint8).reshape(-1, 8 * self.group)
-        stored = np.zeros(raw.shape[0], dtype=np.uint32)
-        for j in range(4):
-            stored |= raw[:, 8 * j].astype(np.uint32) << np.uint32(8 * j)
-        return stored
-
-    def _encode_crc(self, lanes: np.ndarray) -> None:
-        crc = crc32c_batch(self._group_bytes(lanes))
-        byte_mask = ~np.uint64(0xFF)
-        for j in range(4):
-            chunk = ((crc >> np.uint32(8 * j)) & np.uint32(0xFF)).astype(np.uint64)
-            lanes[:, j] = (lanes[:, j] & byte_mask) | chunk
-
-    def _crc_diff(self, lanes: np.ndarray) -> np.ndarray:
-        return crc32c_batch(self._group_bytes(lanes)) ^ self._stored_crc(lanes)
-
-    def _check_crc(self, lanes: np.ndarray) -> CheckReport:
-        diff = self._crc_diff(lanes)
-        status = np.zeros(lanes.shape[0], dtype=np.uint8)
-        bad = np.flatnonzero(diff)
-        if bad.size:
-            corrector = corrector_for(8 * self.group)
-            max_errors = max_errors_for_mode(self.crc_mode, corrector.hd6)
-            if max_errors == 0:  # 5ED: detection-only operating point
-                status[bad] = CodewordStatus.UNCORRECTABLE
-                return CheckReport(status=status)
-            for g in bad:
-                located = corrector.locate(int(diff[g]), max_errors=max_errors)
-                # Stream bits 0..7 of each double are always zero, so a
-                # located "flip" there cannot exist in memory: reject the
-                # whole localisation before touching anything.
-                if located is None or any(
-                    bit < corrector.n_data_bits and (bit % 64) < 8 for bit in located
-                ):
-                    status[g] = CodewordStatus.UNCORRECTABLE
-                    continue
-                for bit in located:
-                    if bit < corrector.n_data_bits:
-                        elem, b = divmod(bit, 64)
-                        lanes[g, elem] ^= _ONE << np.uint64(b)
-                    else:
-                        j = bit - corrector.n_data_bits
-                        lanes[g, j // 8] ^= _ONE << np.uint64(j % 8)
-                status[g] = CodewordStatus.CORRECTED
-        return CheckReport(status=status)
+        if self._cache is not None:
+            self._decode_into(self._cache, lo, hi)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProtectedVector(n={self.raw.size}, scheme={self.scheme!r})"

@@ -237,14 +237,19 @@ class TestNumbaParity:  # pragma: no cover - exercised only with numba
 class TestAllocationFreeChecks:
     def test_persistent_lane_buffer_identity(self):
         pmat = ProtectedCSRMatrix(make_matrix(), "secded64", "secded64")
+
+        def buffer(region):
+            return region._store.segments[0].layout.buffer
+
         pmat.check_all(correct=False)
-        buf1 = pmat.elements._lane_buf
+        buf1 = buffer(pmat.elements)
+        assert buf1 is not None
         pmat.check_all(correct=False)
-        assert pmat.elements._lane_buf is buf1
-        rp1 = pmat.rowptr_protected._lane_buf
+        assert buffer(pmat.elements) is buf1
+        rp1 = buffer(pmat.rowptr_protected)
         pmat.check_all(correct=True)
-        assert pmat.rowptr_protected._lane_buf is rp1
-        assert pmat.elements._lane_buf is buf1
+        assert buffer(pmat.rowptr_protected) is rp1
+        assert buffer(pmat.elements) is buf1
 
     def test_clean_matrix_check_allocates_no_nnz_temporaries(self):
         """The acceptance bound: a full SECDED check is allocation-free.

@@ -15,7 +15,6 @@ from repro.bits import (
     insert_mantissa_lsbs,
     mask_mantissa_lsbs,
     pack_csr_element_lanes,
-    pack_f64_lanes,
     pack_u32_lanes,
     parity64,
     parity_lanes,
@@ -153,13 +152,6 @@ class TestPacking:
     def test_u32_divisibility_check(self):
         with pytest.raises(ValueError):
             pack_u32_lanes(np.zeros(3, np.uint32), 2)
-
-    def test_f64_lanes_roundtrip(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(12)
-        lanes = pack_f64_lanes(x, 4)
-        assert lanes.shape == (3, 4)
-        assert np.array_equal(u64_to_f64(lanes.reshape(-1)), x)
 
     def test_bits_to_lane_masks(self):
         masks = bits_to_lane_masks([0, 63, 64, 95], 2)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from repro.ecc.crc32c import crc32c_table, crc32c_zero_operator, TABLE
 from repro.ecc.hamming import SECDEDCode, _min_syndrome_bits
-from repro.ecc.registry import FIGURE_ORDER, SCHEMES, scheme_info
-from repro.errors import Outcome
+from repro.errors import ConfigurationError, Outcome
+from repro.protect.codeword_store import codeword_row, schemes
 
 
 @st.composite
@@ -104,22 +104,24 @@ class TestCRCZeroOperator:
 
 
 class TestRegistry:
+    """The one scheme table (repro.protect.codeword_store)."""
+
     def test_figure_order_matches_paper(self):
-        assert list(FIGURE_ORDER) == ["sed", "secded64", "secded128", "crc32c"]
+        for structure in ("csr_elements", "row_pointer", "vector"):
+            assert schemes(structure) == ["sed", "secded64", "secded128", "crc32c"]
 
     def test_scheme_metadata(self):
-        assert scheme_info("sed").corrects == 0
-        assert scheme_info("secded64").corrects == 1
-        assert scheme_info("crc32c").detects == 5
-        assert scheme_info("none").check_bits == 0
+        def code(scheme, mode="2EC3ED"):
+            return codeword_row("vector", scheme).code(mode, None)
+
+        assert code("sed").corrects == 0
+        assert code("secded64").corrects == 1
+        assert code("crc32c", "5ED").detects == 5
+        assert codeword_row("csr_elements", None).reserved == (0,)
 
     def test_unknown_scheme_lists_choices(self):
-        with pytest.raises(KeyError, match="crc32c"):
-            scheme_info("reed-solomon")
-
-    def test_all_schemes_have_summaries(self):
-        for info in SCHEMES.values():
-            assert info.summary
+        with pytest.raises(ConfigurationError, match="crc32c"):
+            codeword_row("vector", "reed-solomon")
 
 
 class TestOutcomeTaxonomy:

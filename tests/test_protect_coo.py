@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bits.float_bits import f64_to_u64
 from repro.csr import five_point_operator
@@ -161,22 +159,3 @@ class TestCOOSpecifics:
                 np.ones(1), np.zeros(1, np.uint32), np.zeros(1, np.uint32),
                 (4, 4), "secded64",
             )
-
-
-@given(
-    st.sampled_from(SCHEMES),
-    st.integers(0, 149),
-    st.integers(0, 127),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_any_single_flip_never_silent(scheme, element, bit, seed):
-    coo, _ = make_coo(seed=seed % 50)
-    prot = ProtectedCOOMatrix(coo, scheme)
-    if bit < 64:
-        f64_to_u64(prot.values)[element] ^= np.uint64(1) << np.uint64(bit)
-    elif bit < 96:
-        prot.rowidx[element] ^= np.uint32(1) << np.uint32(bit - 64)
-    else:
-        prot.colidx[element] ^= np.uint32(1) << np.uint32(bit - 96)
-    assert prot.detect_any()

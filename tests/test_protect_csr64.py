@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bits.float_bits import f64_to_u64
 from repro.csr import five_point_operator
@@ -156,19 +154,3 @@ class TestRowPointer64Correction:
     def test_value_limit(self, scheme):
         with pytest.raises(ConfigurationError):
             ProtectedRowPointer64(np.array([1 << 56], np.uint64), scheme)
-
-
-@given(
-    st.sampled_from(ELEMENT_SCHEMES),
-    st.integers(0, 149),
-    st.integers(0, 127),
-)
-@settings(max_examples=60, deadline=None)
-def test_any_single_flip_never_silent_64(scheme, element, bit):
-    values, colidx, rowptr, n_cols = make64(col_offset=2**40)
-    prot = ProtectedCSRElements64(values, colidx, rowptr, n_cols, scheme)
-    if bit < 64:
-        f64_to_u64(prot.values)[element] ^= np.uint64(1) << np.uint64(bit)
-    else:
-        prot.colidx[element] ^= np.uint64(1) << np.uint64(bit - 64)
-    assert prot.detect().any()
