@@ -98,7 +98,9 @@ def run(args) -> int:
              if stats["erasure_shards"] else "")
     print(f"distributed cg: {stats['n_shards']} shards{extra}, "
           f"{result.iterations} iters, converged={result.converged}, "
-          f"residual {result.final_residual:.3e}")
+          f"residual {result.final_residual:.3e}, "
+          f"{stats['rounds']} rounds, boot {stats['boot_s']:.3f} s, "
+          f"wait {stats['wait_s']:.3f} s")
     print(f"recovery: {stats['deaths']} death(s), {stats['respawns']} "
           f"respawn(s), {stats['restarts']} DUE restart(s), "
           f"{stats['checkpoints']} checkpoint(s), "

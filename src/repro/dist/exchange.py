@@ -10,24 +10,34 @@ completed on a shard (its reply was read) or it did not, so after a
 death the coordinator knows every survivor sits at the same step of the
 recurrence and can restart it globally.
 
-Death detection is part of :meth:`ShardPool.collect`: a shard whose
-process has exited and whose pipe holds no pending reply is declared
-dead for the round.  Replies already readable from a dying shard are
-still drained first — a shard that answered before being killed counts
-as having completed the round.  The pool reports deaths to the caller
-(the :mod:`repro.dist.solve` coordinator) rather than raising; policy —
-respawn vs :class:`~repro.errors.ShardDeathError` — lives there.
+Collection is *event-driven*: :meth:`ShardPool.collect` blocks in
+:func:`multiprocessing.connection.wait` on every pending shard's pipe
+**and** its process sentinel, with what is left of the round timeout as
+the wait timeout — a reply wakes the coordinator the moment it lands,
+and so does a death.  A shard whose process has exited and whose pipe
+holds no pending reply is declared dead for the round.  Replies already
+readable from a dying shard are still drained first — a shard that
+answered before being killed counts as having completed the round.  The
+pool reports deaths to the caller (the :mod:`repro.dist.solve`
+coordinator) rather than raising; policy — respawn vs
+:class:`~repro.errors.ShardDeathError` — lives there.
 
 Workers are spawn-context processes (consistent with the sweep executor:
 BLAS thread pools and fork do not mix) running
-:func:`repro.dist.workers.shard_worker_main`, so everything crossing the
-pipe — the start-up payload and every message — must be picklable.
+:func:`repro.dist.workers.shard_worker_main`.  A process is started with
+its pipe end only; its start-up payload follows as the first message on
+that pipe (``{"cmd": "boot", "payload": ...}``), so every child imports
+its interpreter state concurrently instead of each ``start()`` blocking
+on a payload-sized spawn pipe until *that* child is up.  Everything
+crossing the pipe — the boot payload and every message — must be
+picklable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from multiprocessing.connection import wait
 
 from repro.errors import ShardDeathError
 from repro.sweeps.executor import resolve_runner
@@ -37,8 +47,12 @@ from repro.sweeps.executor import resolve_runner
 #: whole round is a handful of local SpMVs, so minutes means a hang.
 DEFAULT_ROUND_TIMEOUT = 120.0
 
-#: Seconds between liveness polls while waiting for a reply.
-_POLL_TICK = 0.01
+#: Seconds ``shutdown`` gives the whole pool to exit on request before
+#: the stragglers are terminated.
+_SHUTDOWN_GRACE = 2.0
+
+#: Seconds a terminated worker gets to die of SIGTERM before SIGKILL.
+_TERMINATE_GRACE = 5.0
 
 
 class ShardLink:
@@ -47,14 +61,16 @@ class ShardLink:
     Created (and re-created, after a death) by :class:`ShardPool`; the
     link owns process lifecycle for its shard — spawn, terminate, join —
     and the raw send/receive primitives the pool's rounds are built on.
+    The process starts with its pipe end only: the pool hands it the
+    start-up payload as the first message (see :meth:`ShardPool._boot`).
     """
 
-    def __init__(self, index: int, runner: str, payload: dict, ctx):
+    def __init__(self, index: int, runner: str, ctx):
         self.index = index
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=resolve_runner(runner),
-            args=(child_conn, payload),
+            args=(child_conn,),
             name=f"repro-dist-shard-{index}",
         )
         self.process.start()
@@ -84,10 +100,17 @@ class ShardLink:
         return None
 
     def terminate(self) -> None:
-        """Kill the worker process (the shard-death fault injector)."""
+        """Kill the worker process (the shard-death fault injector).
+
+        SIGTERM first; a worker that ignores it past the grace period is
+        SIGKILLed, so the process is always reaped when this returns.
+        """
         if self.process.is_alive():
             self.process.terminate()
-        self.process.join(timeout=5.0)
+        self.process.join(timeout=_TERMINATE_GRACE)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
 
     def close(self) -> None:
         """Release the pipe and reap the process."""
@@ -95,9 +118,7 @@ class ShardLink:
             self.conn.close()
         except OSError:
             pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
+        self.terminate()
         self.process.close()
 
 
@@ -113,10 +134,17 @@ class ShardPool:
         is what "re-encode the lost shard from its source" means.
     runner:
         Importable ``"module:function"`` worker entry point, resolved in
-        the spawned process exactly like sweep-executor runners.
+        the spawned process exactly like sweep-executor runners.  Called
+        as ``runner(conn)``; the payload arrives as the ``boot`` message.
     round_timeout:
         Seconds a :meth:`collect` round may wait before alive-but-silent
         shards are terminated and reported as dead.
+
+    The pool keeps three counters for the solve's report: ``rounds``
+    (lockstep collects, sub-rounds included), ``boot_s`` (seconds from
+    starting worker processes to their payloads being handed over,
+    respawns included) and ``wait_s`` (seconds the coordinator spent
+    inside :meth:`collect`).
     """
 
     def __init__(
@@ -130,10 +158,35 @@ class ShardPool:
         self._runner = runner
         self._payloads = list(payloads)
         self.round_timeout = float(round_timeout)
-        self.links: list[ShardLink] = [
-            ShardLink(i, runner, payload, self._ctx)
-            for i, payload in enumerate(self._payloads)
-        ]
+        self.rounds = 0
+        self.boot_s = 0.0
+        self.wait_s = 0.0
+        self.links: list[ShardLink] = [None] * len(self._payloads)
+        try:
+            self._boot(range(len(self._payloads)))
+        except BaseException:
+            # A payload that does not pickle must not strand the workers
+            # already started: ``with`` never got to own this pool.
+            for link in filter(None, self.links):
+                link.close()
+            raise
+
+    def _boot(self, indices) -> None:
+        """Start a worker per index, then hand each its payload.
+
+        Two passes on purpose: every ``start()`` returns as soon as the
+        child is launched, so by the time the first (payload-sized,
+        hence blocking) ``boot`` send is being read, all the other
+        children are already importing alongside it.
+        """
+        started = time.perf_counter()
+        for index in indices:
+            self.links[index] = ShardLink(index, self._runner, self._ctx)
+        for index in indices:
+            self.links[index].send(
+                {"cmd": "boot", "payload": self._payloads[index]}
+            )
+        self.boot_s += time.perf_counter() - started
 
     @property
     def n_shards(self) -> int:
@@ -143,9 +196,7 @@ class ShardPool:
     def respawn(self, index: int) -> None:
         """Replace a dead shard with a fresh worker from its pristine payload."""
         self.links[index].close()
-        self.links[index] = ShardLink(
-            index, self._runner, self._payloads[index], self._ctx
-        )
+        self._boot([index])
 
     def kill(self, index: int) -> None:
         """Terminate one shard mid-solve — the fault-injection hook."""
@@ -170,38 +221,52 @@ class ShardPool:
         *after* answering still counts as having finished the round.
         ``indices`` restricts the round to a subset of shards (the
         erasure-recovery sub-rounds); the default is every shard.
+
+        The wait is on events, not on a clock: each pending shard
+        contributes its pipe and its process sentinel to one
+        :func:`multiprocessing.connection.wait`, bounded by what is left
+        of ``round_timeout``.  Replies are keyed by shard index, so the
+        order they arrive in never reaches the caller's reductions.
         """
+        started = time.perf_counter()
+        deadline = started + self.round_timeout
         replies: dict[int, dict] = {}
         dead: list[int] = []
         pending = set(range(self.n_shards) if indices is None else indices)
-        deadline = time.monotonic() + self.round_timeout
+        # Shards whose pipe hit EOF while the process still counted as
+        # alive: a dying child closes its pipe a moment before its exit
+        # is observable, so only the sentinel is worth waiting on.
+        hung_up: set[int] = set()
         while pending:
-            progressed = False
-            for index in sorted(pending):
+            waitables = {}
+            for index in pending:
                 link = self.links[index]
+                waitables[link.process.sentinel] = index
+                if index not in hung_up:
+                    waitables[link.conn] = index
+            ready = set(
+                wait(waitables, max(deadline - time.perf_counter(), 0.0))
+            )
+            if not ready:
+                # Silence past the deadline: a hang is a death.
+                for index in pending:
+                    self.links[index].terminate()
+                dead.extend(pending)
+                break
+            for index in {waitables[obj] for obj in ready}:
+                link = self.links[index]
+                # Drain before the verdict: the reply may have raced the exit.
                 reply = link.try_recv()
                 if reply is not None:
                     replies[index] = reply
-                    pending.discard(index)
-                    progressed = True
-                elif not link.alive():
-                    # Drain once more: the reply may have raced the exit.
-                    reply = link.try_recv()
-                    if reply is not None:
-                        replies[index] = reply
-                    else:
-                        dead.append(index)
-                    pending.discard(index)
-                    progressed = True
-            if not pending or progressed:
-                continue
-            if time.monotonic() > deadline:
-                for index in sorted(pending):
-                    self.links[index].terminate()
-                    dead.extend([index])
-                    pending.discard(index)
-                break
-            time.sleep(_POLL_TICK)
+                elif link.process.sentinel in ready:
+                    dead.append(index)
+                else:
+                    hung_up.add(index)
+                    continue
+                pending.discard(index)
+        self.rounds += 1
+        self.wait_s += time.perf_counter() - started
         return replies, sorted(dead)
 
     def roundtrip(self, messages) -> tuple[dict[int, dict], list[int]]:
@@ -238,12 +303,23 @@ class ShardPool:
         return [replies[i] for i in range(self.n_shards)]
 
     def shutdown(self) -> None:
-        """Best-effort orderly stop: ask workers to exit, then reap them."""
+        """Best-effort orderly stop: ask workers to exit, then reap them.
+
+        Every live shard is asked first and the exits are then awaited
+        together against one deadline, so a pool of stubborn workers
+        costs one grace period, not one per shard.
+        """
         for link in self.links:
             if link.alive():
                 link.send({"cmd": "shutdown"})
+        deadline = time.perf_counter() + _SHUTDOWN_GRACE
+        exiting = {link.process.sentinel for link in self.links}
+        while exiting:
+            gone = wait(exiting, max(deadline - time.perf_counter(), 0.0))
+            if not gone:
+                break
+            exiting.difference_update(gone)
         for link in self.links:
-            link.process.join(timeout=2.0)
             link.close()
 
     def __enter__(self) -> "ShardPool":

@@ -470,8 +470,9 @@ def distributed_solve(
 
     Returns a :class:`~repro.solvers.base.SolverResult` whose ``info``
     carries a ``distributed`` block (shard counts, deaths, respawns,
-    restarts, checkpoints, reconstructions, executed iterations) plus
-    each shard's own counter block.
+    restarts, checkpoints, reconstructions, executed iterations, and the
+    pool's ``rounds`` / ``boot_s`` / ``wait_s`` ledger) plus each shard's
+    own counter block.
     """
     if method != "cg":
         raise ConfigurationError(
@@ -591,6 +592,11 @@ def distributed_solve(
             "fallback_restarts": coord.fallback_restarts,
             "iters_executed": coord.iters_executed,
             "recovery": recovery.strategy if recovery is not None else "raise",
+            # Where the wall time went: lockstep rounds driven, seconds
+            # booting workers, seconds blocked collecting their replies.
+            "rounds": pool.rounds,
+            "boot_s": pool.boot_s,
+            "wait_s": pool.wait_s,
         },
         "shards": [reply["info"] for reply in finish[:plan.n_shards]],
     }

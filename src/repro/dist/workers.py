@@ -15,6 +15,7 @@ Command protocol (one request dict in, one reply dict out, always):
 ========== =============================== ================================
 command    request fields                  reply fields
 ========== =============================== ================================
+boot       ``payload`` (first message)     (no reply; builds the shard)
 xstart     ``x`` (local slice or None)     ``xb`` — x at boundary rows
 residual   ``halo`` (x halo values)        ``rr`` partial, ``pb`` boundary
 spmv       ``halo`` (p halo values)        ``pw`` partial
@@ -253,17 +254,27 @@ class ShardState:
         return np.array(values, dtype=np.float64, copy=True)
 
 
-def shard_worker_main(conn, payload: dict) -> None:
+def shard_worker_main(conn) -> None:
     """The worker-process entry point: serve commands until shutdown.
 
     Runs in a spawn-context child (resolved by name through the sweep
-    executor's runner machinery, so it must stay at module scope).
-    Construction failures and terminal command errors are reported as
-    ``status: "error"`` replies rather than tracebacks on stderr — the
-    coordinator owns surfacing them.
+    executor's runner machinery, so it must stay at module scope).  The
+    first message on the pipe is the ``boot`` command carrying this
+    shard's payload (see :class:`ShardState`); it has no reply of its
+    own.  Construction failures and terminal command errors are reported
+    as ``status: "error"`` replies rather than tracebacks on stderr —
+    the coordinator owns surfacing them, a start-up failure as the reply
+    to its first round.
     """
     try:
-        state = ShardState(payload)
+        boot = conn.recv()
+    except (EOFError, OSError):  # the coordinator left before booting us
+        conn.close()
+        return
+    try:
+        # pop: the payload must die with the constructor's frame, not
+        # live on in this one beside the state built from it.
+        state = ShardState(boot.pop("payload"))
     except Exception as exc:  # noqa: BLE001 - reported to the coordinator
         try:
             conn.send({"status": "error", "error": type(exc).__name__,

@@ -680,6 +680,25 @@ class TestRegistryRouting:
         assert np.max(np.abs(result.x - reference.x)) < PARITY_TOL
         assert result.info["distributed"]["n_shards"] == 2
 
+    def test_repeat_runs_are_bitwise_equal(self):
+        # Replies are collected as they arrive but reduced in shard
+        # order: arrival order must never reach x or the residual trace.
+        matrix, b = make_system(grid=8)
+        config = ProtectionConfig.deferred()
+        first = repro.solve(matrix, b, distributed=2, protection=config,
+                            eps=1e-18)
+        again = repro.solve(matrix, b, distributed=2, protection=config,
+                            eps=1e-18)
+        assert first.converged
+        np.testing.assert_array_equal(first.x, again.x)
+        assert first.residual_norms == again.residual_norms
+        stats = first.info["distributed"]
+        assert stats["rounds"] == again.info["distributed"]["rounds"]
+        # xstart + residual + finish, three rounds per iteration, minus
+        # the pbound the converging iteration skips.
+        assert stats["rounds"] == 3 * first.iterations + 2
+        assert 0.0 < stats["boot_s"] and 0.0 < stats["wait_s"]
+
     def test_session_plus_distributed_is_rejected(self):
         matrix, b = make_system(grid=4)
         session = ProtectionSession(ProtectionConfig.deferred())
