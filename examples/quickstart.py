@@ -16,6 +16,7 @@ from repro.bits.float_bits import f64_to_u64
 from repro.csr import five_point_operator
 from repro.errors import DetectedUncorrectableError
 from repro.protect import ProtectedCSRMatrix, ProtectedVector, ProtectionConfig
+from repro.solvers import JacobiPreconditioner
 
 
 def main() -> None:
@@ -59,6 +60,14 @@ def main() -> None:
     print(f"\nplain CG:      {plain.iterations} iterations")
     print(f"protected CG:  {prot.iterations} iterations "
           f"({prot.info['full_checks']} matrix checks), solution error {err:.2e}")
+
+    # A preconditioner rides the same protected recurrence: its input is
+    # a verified read, its output is committed through the engine.
+    jacobi = JacobiPreconditioner(A.diagonal())
+    pcg = repro.solve(A, b, method="cg", eps=1e-20, preconditioner=jacobi,
+                      protection=ProtectionConfig.paper_default())
+    print(f"protected Jacobi-preconditioned CG: {pcg.iterations} iterations "
+          f"({pcg.info['full_checks']} matrix checks)")
 
     deferred = ProtectionConfig.deferred(window=16)
     print(f"\ndeferred window of 16 across every method "

@@ -15,8 +15,6 @@ from repro.bits.float_bits import (
 )
 from repro.bits.popcount import popcount64, parity64, parity_lanes, fold_parity
 from repro.bits.packing import (
-    pack_csr_element_lanes,
-    unpack_csr_element_lanes,
     pack_u32_lanes,
     unpack_u32_lanes,
     bits_to_lane_masks,
@@ -33,8 +31,6 @@ __all__ = [
     "parity64",
     "parity_lanes",
     "fold_parity",
-    "pack_csr_element_lanes",
-    "unpack_csr_element_lanes",
     "pack_u32_lanes",
     "unpack_u32_lanes",
     "bits_to_lane_masks",

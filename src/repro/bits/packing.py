@@ -19,37 +19,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.bits.float_bits import f64_to_u64, u64_to_f64
-
 _U32 = np.uint64(0xFFFFFFFF)
-
-
-def pack_csr_element_lanes(
-    values: np.ndarray, colidx: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Pack CSR ``(value, column index)`` pairs into (N, 2) uint64 lanes.
-
-    Lane 0 holds the 64 value bits, lane 1 the zero-extended 32-bit column
-    index (codeword bits 64..95; bits 96..127 of lane 1 are padding and are
-    *excluded* from the code's position set).  ``out`` refills a persistent
-    lane buffer in place instead of allocating a fresh one.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    colidx = np.asarray(colidx, dtype=np.uint32)
-    if values.shape != colidx.shape:
-        raise ValueError("values and colidx must have identical shapes")
-    lanes = np.empty(values.shape + (2,), dtype=np.uint64) if out is None else out
-    np.copyto(lanes[..., 0], f64_to_u64(values))
-    np.copyto(lanes[..., 1], colidx, casting="same_kind")
-    return lanes
-
-
-def unpack_csr_element_lanes(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_csr_element_lanes`."""
-    lanes = np.asarray(lanes, dtype=np.uint64)
-    values = u64_to_f64(np.ascontiguousarray(lanes[..., 0]))
-    colidx = (lanes[..., 1] & _U32).astype(np.uint32)
-    return values, colidx
 
 
 def pack_u32_lanes(

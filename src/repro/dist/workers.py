@@ -4,11 +4,14 @@ Each shard process owns exactly the state a single-process protected CG
 owns — the (protected) matrix block, the protected ``x``/``r``/``p``
 slices, the plain SpMV output ``w`` — but *no* control flow: the CG
 recurrence lives in the coordinator, which drives the shard through the
-lockstep command protocol below.  Protection is genuinely per-shard: a
-shard with protection enabled runs its own
+lockstep command protocol below.  Protection is genuinely per-shard:
+every shard runs its own
 :class:`~repro.solvers.toolkit.ProtectedIteration` (own engine, own
 check schedule, own recovery manager), so a bit flip in one shard's
 block is detected, corrected or escalated entirely inside that shard.
+An unprotected shard is the same context under
+:meth:`~repro.protect.config.ProtectionConfig.off` — the null codec —
+like every other unprotected CG in the tree.
 
 Command protocol (one request dict in, one reply dict out, always):
 
@@ -59,6 +62,8 @@ import time
 
 import numpy as np
 
+from repro.protect.config import ProtectionConfig
+from repro.protect.matrix import ProtectedCSRMatrix
 from repro.recover.policy import RECOVERABLE_ERRORS
 from repro.solvers.toolkit import ProtectedIteration
 
@@ -96,43 +101,23 @@ class ShardState:
         self.n_local = int(self.b.size)
         matrix = payload["matrix"]
         protection = payload.get("protection")
-        if protection is not None and protection.enabled:
-            self.ctx = ProtectedIteration(
-                protection.wrap_matrix(matrix),
-                engine=protection.engine(),
-                vector_scheme=protection.vector_scheme,
-            )
+        self.protected = protection is not None and protection.enabled
+        if self.protected:
+            pmat = protection.wrap_matrix(matrix)
         else:
-            self.ctx = None
-            self.matrix = matrix
+            # The shard owns its block and nothing writes through a null
+            # codec, so the wrap may share the block's arrays.
+            protection = ProtectionConfig.off()
+            pmat = ProtectedCSRMatrix._alias(matrix)
+        self.ctx = ProtectedIteration(
+            pmat, engine=protection.engine(),
+            vector_scheme=protection.vector_scheme,
+        )
         zeros = np.zeros(self.n_local)
-        self.x = self._wrap(zeros, "x")
-        self.r = self._wrap(zeros, "r")
-        self.p = self._wrap(zeros, "p")
+        self.x = self.ctx.wrap(zeros, "x")
+        self.r = self.ctx.wrap(zeros, "r")
+        self.p = self.ctx.wrap(zeros, "p")
         self.w = np.zeros(self.n_local)
-
-    # -- protection-transparent vector plumbing -------------------------
-    def _wrap(self, values, name):
-        if self.ctx is not None:
-            return self.ctx.wrap(values, name)
-        return np.array(values, dtype=np.float64, copy=True)
-
-    def _read(self, container) -> np.ndarray:
-        return self.ctx.read(container) if self.ctx is not None else container
-
-    def _write(self, container, values):
-        # Returns the (possibly new) container — callers must rebind,
-        # exactly like the solver bodies do: for unprotected vectors the
-        # toolkit's write returns the fresh array instead of mutating.
-        if self.ctx is not None:
-            return self.ctx.write(container, values)
-        container[:] = values
-        return container
-
-    def _spmv(self, x_ext: np.ndarray) -> np.ndarray:
-        if self.ctx is not None:
-            return self.ctx.spmv(x_ext)
-        return self.matrix.matvec(x_ext)
 
     def _extend(self, local: np.ndarray, halo) -> np.ndarray:
         """The column space the local block consumes.
@@ -164,8 +149,6 @@ class ShardState:
         try:
             return self._dispatch(msg)
         except RECOVERABLE_ERRORS as exc:
-            if self.ctx is None:
-                raise
             # Shard-local recovery: repairs the block / rolls the slices
             # back per this shard's own policy, or re-raises when the
             # policy says so.  The coordinator restarts the recurrence.
@@ -177,57 +160,55 @@ class ShardState:
         cmd = msg["cmd"]
         if cmd == "xstart":
             if msg.get("x") is not None:
-                self.x = self._write(
+                self.x = self.ctx.write(
                     self.x, np.asarray(msg["x"], dtype=np.float64)
                 )
-            return {"xb": self._read(self.x)[self.boundary_idx].copy()}
+            return {"xb": self.ctx.read(self.x)[self.boundary_idx].copy()}
         if cmd == "residual":
-            x_ext = self._extend(self._read(self.x), msg["halo"])
-            r_val = self.b - self._spmv(x_ext)
-            self.r = self._write(self.r, r_val)
-            self.p = self._write(self.p, r_val)
+            x_ext = self._extend(self.ctx.read(self.x), msg["halo"])
+            r_val = self.b - self.ctx.spmv(x_ext)
+            self.r = self.ctx.write(self.r, r_val)
+            self.p = self.ctx.write(self.p, r_val)
             return {
                 "rr": float(np.dot(r_val, r_val)),
                 "pb": r_val[self.boundary_idx].copy(),
             }
         if cmd == "spmv":
-            if self.ctx is not None:
-                self.ctx.begin_iteration()
-            p_val = self._read(self.p)
-            self.w = self._spmv(self._extend(p_val, msg["halo"]))
+            self.ctx.begin_iteration()
+            p_val = self.ctx.read(self.p)
+            self.w = self.ctx.spmv(self._extend(p_val, msg["halo"]))
             return {"pw": float(np.dot(p_val, self.w))}
         if cmd == "update":
             alpha = float(msg["alpha"])
-            self.x = self._write(
-                self.x, self._read(self.x) + alpha * self._read(self.p)
+            self.x = self.ctx.write(
+                self.x, self.ctx.read(self.x) + alpha * self.ctx.read(self.p)
             )
-            r_val = self._read(self.r) - alpha * self.w
-            self.r = self._write(self.r, r_val)
-            if self.ctx is not None:
-                self.ctx.maybe_checkpoint(int(msg["it"]))
+            r_val = self.ctx.read(self.r) - alpha * self.w
+            self.r = self.ctx.write(self.r, r_val)
+            self.ctx.maybe_checkpoint(int(msg["it"]))
             return {"rr": float(np.dot(r_val, r_val))}
         if cmd == "pbound":
             beta = float(msg["beta"])
-            p_val = self._read(self.r) + beta * self._read(self.p)
-            self.p = self._write(self.p, p_val)
+            p_val = self.ctx.read(self.r) + beta * self.ctx.read(self.p)
+            self.p = self.ctx.write(self.p, p_val)
             return {"pb": p_val[self.boundary_idx].copy()}
         if cmd == "checkpoint":
-            return {"x": self._value(self.x)}
+            return {"x": self.ctx.value_of(self.x)}
         if cmd == "snapshot":
             return {
-                "x": self._value(self.x),
-                "r": self._value(self.r),
-                "p": self._value(self.p),
+                "x": self.ctx.value_of(self.x),
+                "r": self.ctx.value_of(self.r),
+                "p": self.ctx.value_of(self.p),
                 "w": np.array(self.w, dtype=np.float64, copy=True),
             }
         if cmd == "seed":
-            self.x = self._write(self.x, np.asarray(msg["x"], dtype=np.float64))
-            self.r = self._write(self.r, np.asarray(msg["r"], dtype=np.float64))
-            self.p = self._write(self.p, np.asarray(msg["p"], dtype=np.float64))
+            self.x = self.ctx.write(self.x, np.asarray(msg["x"], dtype=np.float64))
+            self.r = self.ctx.write(self.r, np.asarray(msg["r"], dtype=np.float64))
+            self.p = self.ctx.write(self.p, np.asarray(msg["p"], dtype=np.float64))
             self.w = np.array(msg["w"], dtype=np.float64, copy=True)
-            x_val = self._read(self.x)
-            r_val = self._read(self.r)
-            p_val = self._read(self.p)
+            x_val = self.ctx.read(self.x)
+            r_val = self.ctx.read(self.r)
+            p_val = self.ctx.read(self.p)
             # The superset of every round's reply fields: the healed
             # round hands these out as if the interrupted round finished.
             return {
@@ -235,23 +216,18 @@ class ShardState:
                 "pb": p_val[self.boundary_idx].copy(),
                 "rr": float(np.dot(r_val, r_val)),
                 "pw": float(np.dot(p_val, self.w)),
-                "x": self._value(self.x),
-                "info": self.ctx.info() if self.ctx is not None else {},
+                "x": self.ctx.value_of(self.x),
+                "info": self._info(),
             }
         if cmd == "finish":
-            x_final = self._value(self.x)
-            info = {}
-            if self.ctx is not None:
-                self.ctx.finish()  # the mandatory end-of-step sweep
-                info = self.ctx.info()
-            return {"x": x_final, "info": info}
+            x_final = self.ctx.value_of(self.x)
+            self.ctx.finish()  # the mandatory end-of-step sweep
+            return {"x": x_final, "info": self._info()}
         raise ValueError(f"unknown shard command {cmd!r}")
 
-    def _value(self, container) -> np.ndarray:
-        values = (
-            self.ctx.value_of(container) if self.ctx is not None else container
-        )
-        return np.array(values, dtype=np.float64, copy=True)
+    def _info(self) -> dict:
+        """This shard's counter block; an unprotected shard reports none."""
+        return self.ctx.info() if self.protected else {}
 
 
 def shard_worker_main(conn) -> None:

@@ -21,7 +21,8 @@ The public surface of the paper's contribution:
   truth for what is protected and when it is verified;
 * :class:`~repro.protect.session.ProtectionSession` — one engine across
   many solves, with cross-time-step dirty windows;
-* :mod:`repro.protect.kernels` — SpMV / dot / axpy over protected data.
+* :mod:`repro.protect.kernels` — SpMV and matrix verification over
+  protected data.
 """
 
 from repro.protect.codeword_store import CODEWORD_TABLE, CodewordStore, codeword_row
@@ -33,7 +34,7 @@ from repro.protect.policy import CheckPolicy, PolicyStats
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.config import ProtectionConfig
 from repro.protect.session import ProtectionSession
-from repro.protect.kernels import protected_spmv, protected_dot, protected_axpy
+from repro.protect.kernels import protected_spmv
 from repro.protect.coo_elements import ProtectedCOOElements, ProtectedCOOMatrix
 from repro.protect.csr64 import ProtectedCSRElements64, ProtectedRowPointer64
 from repro.protect.operator import ProtectedOperator
@@ -58,6 +59,4 @@ __all__ = [
     "ProtectionConfig",
     "ProtectionSession",
     "protected_spmv",
-    "protected_dot",
-    "protected_axpy",
 ]

@@ -7,17 +7,15 @@ check policy into each kernel:
 
 * :func:`protected_spmv` — full check or range check on the matrix
   (per the policy), then a plain SpMV over the cleaned views;
-* :func:`protected_dot` / :func:`protected_axpy` — check-on-read,
-  mask, compute, re-encode on write (write buffering: whole codewords are
-  committed at once, so no read-modify-write is ever needed).
+* :func:`load_vector` — check-on-read of a protected vector operand:
+  verify, mask, hand back computation-ready values.
 
-Every kernel accepts an optional
+Dot products and vector updates have no kernel of their own: solvers
+compute on the plain views ``engine.read`` hands out and commit whole
+codewords through ``engine.write`` (so no read-modify-write is ever
+needed).  :func:`protected_spmv` takes the same optional
 :class:`~repro.protect.engine.DeferredVerificationEngine`; with one, the
-per-access check/re-encode is replaced by the engine's amortised
-schedule — reads come from cached plain views, writes buffer into dirty
-windows, and verification happens at the engine's scheduled points (from
-which :class:`~repro.errors.DetectedUncorrectableError` still
-propagates).
+per-access check follows the engine's amortised schedule instead.
 
 All kernels raise :class:`~repro.errors.DetectedUncorrectableError` when
 a check finds damage it cannot repair — the application layer (e.g. the
@@ -158,32 +156,3 @@ def load_vector(vector: ProtectedVector, *, correct: bool = True) -> np.ndarray:
             "vector", report.uncorrectable_indices()[:8].tolist()
         )
     return vector.values()
-
-
-def protected_dot(
-    a: ProtectedVector, b: ProtectedVector | np.ndarray, engine=None
-) -> float:
-    """Dot product: check-on-read, or fused decode-free reads via engine."""
-    if engine is not None:
-        av = engine.read(a) if isinstance(a, ProtectedVector) else np.asarray(a)
-        bv = engine.read(b) if isinstance(b, ProtectedVector) else np.asarray(b)
-        return float(np.dot(av, bv))
-    av = load_vector(a)
-    bv = load_vector(b) if isinstance(b, ProtectedVector) else np.asarray(b)
-    return float(np.dot(av, bv))
-
-
-def protected_axpy(
-    alpha: float, x: ProtectedVector | np.ndarray, y: ProtectedVector, engine=None
-) -> None:
-    """``y <- alpha * x + y`` committed as whole re-encoded codewords.
-
-    With an ``engine`` the commit is a buffered dirty-window write.
-    """
-    if engine is not None:
-        xv = engine.read(x) if isinstance(x, ProtectedVector) else np.asarray(x)
-        engine.write(y, alpha * xv + engine.read(y))
-        return
-    xv = load_vector(x) if isinstance(x, ProtectedVector) else np.asarray(x)
-    yv = load_vector(y)
-    y.store(alpha * xv + yv)

@@ -2,10 +2,12 @@
 
 The paper evaluates ABFT inside TeaLeaf's CG solve; TeaLeaf itself ships
 CG, Jacobi, Chebyshev and PPCG, and the paper notes the techniques "could
-be used with other solver methods" — so all four are provided, each with
-a plain and an engine-threaded protected runner, registered under one
-name in :mod:`repro.solvers.registry` and dispatched by
-:func:`repro.solve`.
+be used with other solver methods" — so all four are provided, each as
+one engine-threaded body that runs under any protection (the null codec
+when unprotected) beside the textbook function the tests compare it
+against, registered under one name in :mod:`repro.solvers.registry` and
+dispatched by :func:`repro.solve`.  PPCG is the CG body with a Chebyshev
+polynomial for its preconditioner.
 """
 
 from repro.solvers.base import SolverResult, LinearOperator, as_operator
@@ -18,7 +20,7 @@ from repro.solvers.chebyshev import (
     protected_chebyshev_run,
 )
 from repro.solvers.ppcg import ppcg_solve, protected_ppcg_run
-from repro.solvers.preconditioner import JacobiPreconditioner, IdentityPreconditioner
+from repro.solvers.preconditioner import JacobiPreconditioner
 from repro.solvers.toolkit import ProtectedIteration, resolve_schedule
 from repro.solvers.registry import (
     SolverMethod,
@@ -44,7 +46,6 @@ __all__ = [
     "ppcg_solve",
     "protected_ppcg_run",
     "JacobiPreconditioner",
-    "IdentityPreconditioner",
     "ProtectedIteration",
     "resolve_schedule",
     "SolverMethod",

@@ -38,10 +38,13 @@ deviation (results still match; only the codeword partition differs).
 
 The unprotected blocked solve is this same runner under the null codec
 (:meth:`~repro.protect.config.ProtectionConfig.off`), so its columns are
-bitwise :func:`~repro.solvers.cg.cg_solve` too.  The single-RHS runner
-stays a separate recurrence body: at ``k = 1`` the per-column masking
-here costs ~1.2x on a cache-resident system, so :func:`repro.solve`
-picks the body from the rank of ``b``.
+bitwise :func:`~repro.solvers.cg.cg_solve` too.  The single-RHS
+recurrence (:func:`~repro.solvers.cg.protected_cg_run`) stays a separate
+body: at ``k = 1`` the per-column masking here costs ~1.2x on a
+cache-resident system, so :func:`repro.solve` picks the body from the
+rank of ``b``.  Only that body takes a preconditioner: a blocked ``b``
+with ``preconditioner=`` runs :func:`_sequential_block`, like every
+other method kwarg.
 """
 
 from __future__ import annotations
@@ -265,7 +268,8 @@ def _sequential_block(
     """The per-column fallback: ``k`` single-RHS solves, assembled as a block.
 
     Used when the method has no blocked runner, method-specific kwargs
-    are in play, or the operator is not CSR storage.  Results are
+    (``preconditioner=`` included) are in play, or the operator is not
+    CSR storage.  Results are
     definitionally identical to solo solves.
     """
     from repro.solvers.registry import solve as _solve

@@ -1,30 +1,32 @@
 """Conjugate Gradient — the paper's solver of record (TeaLeaf's tl_use_cg).
 
-Two drivers:
-
 * :func:`cg_solve` — textbook (optionally preconditioned) CG over any
   :class:`~repro.solvers.base.LinearOperator`: the reference the bitwise
-  tests compare against, and the path for non-CSR operators and
-  ``preconditioner=``;
-* :func:`protected_cg_run` — the pipeline every CG on CSR storage runs
-  through, whatever the codec: the matrix is a
-  :class:`~repro.protect.matrix.ProtectedCSRMatrix` verified per the
-  check policy before each SpMV, and the solver state vectors (x, r, p)
-  live in :class:`~repro.protect.vector.ProtectedVector` containers.
-  All protected traffic flows through a
-  :class:`~repro.protect.engine.DeferredVerificationEngine` via the
-  shared :class:`~repro.solvers.toolkit.ProtectedIteration` context:
-  reads are cached decode-free views, writes are (optionally
-  dirty-window buffered) whole-codeword commits, and integrity checks
-  run on the policy's amortised schedule with a mandatory end-of-step
-  sweep.  Under :meth:`ProtectionConfig.off()
-  <repro.protect.config.ProtectionConfig.off>` every one of those is a
+  tests compare against, and the path for operators that are not CSR
+  storage;
+* :func:`protected_cg_run` — what every CG on CSR storage runs through,
+  whatever the codec and whatever the preconditioner.  The matrix is a
+  :class:`~repro.protect.matrix.ProtectedCSRMatrix`, the state vectors
+  (x, r, p) live in :class:`~repro.protect.vector.ProtectedVector`
+  containers, and all protected traffic flows through the engine via
+  the shared :class:`~repro.solvers.toolkit.ProtectedIteration`
+  context: cached decode-free reads, (dirty-window buffered)
+  whole-codeword commits, checks on the policy's amortised schedule
+  with a mandatory end-of-step sweep.  Under
+  :meth:`~repro.protect.config.ProtectionConfig.off` each of those is a
   passthrough and the run is bitwise :func:`cg_solve` — the unprotected
   baseline is this loop with a null codec, not a second solver.
 
-The protected variant also keeps the CG *alpha/beta* scalars out of
-protected storage, exactly as the kernels in the paper do (scalars live
-in registers).
+There is one single-RHS recurrence, :func:`_cg_recurrence`, and the
+preconditioner ``M`` is data to it (anything with ``.apply(r)``;
+``None`` is plain CG).  ``M`` is *opaque* in the sense of Elliott /
+Hoemmen / Mueller (arXiv:1404.5552): its input is derived from verified
+reads, its output ``z`` enters protected storage only through the
+engine's commit of ``p``, and nothing it keeps is trusted across
+iterations.  :func:`~repro.solvers.ppcg.protected_ppcg_run` is the same
+recurrence with a Chebyshev polynomial for ``M``.  The *alpha/beta*
+scalars stay out of protected storage, as in the paper's kernels
+(scalars live in registers).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 from repro.solvers.base import SolverResult, as_operator
-from repro.solvers.preconditioner import IdentityPreconditioner
 from repro.solvers.toolkit import ProtectedIteration
 
 
@@ -54,10 +55,9 @@ def cg_solve(
     residual 2-norm drops below ``eps``.
     """
     op = as_operator(A)
-    M = preconditioner or IdentityPreconditioner()
     x = np.zeros(op.n) if x0 is None else np.array(x0, dtype=np.float64)
     r = b - op.matvec(x)
-    z = M.apply(r)
+    z = r if preconditioner is None else preconditioner.apply(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     norms = [float(np.linalg.norm(r))]
@@ -71,16 +71,103 @@ def cg_solve(
         alpha = rz / pw
         x += alpha * p
         r -= alpha * w
-        z = M.apply(r)
-        rz_new = float(np.dot(r, z))
         norms.append(float(np.linalg.norm(r)))
         it += 1
         if norms[-1] ** 2 < eps:
             converged = True
             break
+        z = r if preconditioner is None else preconditioner.apply(r)
+        rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     return SolverResult(x=x, iterations=it, converged=converged, residual_norms=norms)
+
+
+def _cg_recurrence(
+    ctx: ProtectedIteration,
+    b: np.ndarray,
+    x0: np.ndarray | None,
+    M,
+    *,
+    eps: float,
+    max_iters: int,
+    **info,
+) -> SolverResult:
+    """The single-RHS (preconditioned) CG body, on an already-built context.
+
+    ``M is None`` is plain CG: ``z`` is ``r`` and ``r.z`` the squared
+    residual norm the convergence test computed anyway.  ``info`` is
+    merged into the result's counter block.
+    """
+
+    def direction(r_val, rr):
+        """``(z, r.z)`` for a residual whose squared norm is ``rr``."""
+        if M is None:
+            return r_val, rr
+        z = M.apply(r_val)
+        return z, float(np.dot(r_val, z))
+
+    x = ctx.wrap(np.zeros(ctx.n) if x0 is None else x0, "x")
+    r_val = b - ctx.initial_spmv(ctx.read(x))
+    r = ctx.wrap(r_val, "r")
+    # Plain CG measures its seed residual as stored (reserved mantissa
+    # bits masked); a preconditioner is fed the working array, and the
+    # seed norm then comes from the same array.
+    rr = (float(np.dot(ctx.read(r), ctx.read(r))) if M is None
+          else float(np.dot(r_val, r_val)))
+    z, rz = direction(r_val, rr)
+    p = ctx.wrap(z, "p")
+    norms = [float(np.sqrt(rr))]
+    converged = rr < eps
+    it = 0
+    ctx.maybe_checkpoint(it)
+    while True:
+        try:
+            while not converged and it < max_iters:
+                ctx.begin_iteration()
+                p_val = ctx.read(p)
+                w = ctx.spmv(p_val, out=ctx.spmv_out())
+                pw = float(np.dot(p_val, w))
+                if pw == 0.0:
+                    break
+                alpha = rz / pw
+                x = ctx.write(x, ctx.read(x) + alpha * p_val)
+                r_val = ctx.read(r) - alpha * w
+                r = ctx.write(r, r_val)
+                rr = float(np.dot(r_val, r_val))
+                norms.append(float(np.sqrt(rr)))
+                it += 1
+                if rr < eps:
+                    converged = True
+                    break
+                z, rz_new = direction(r_val, rr)
+                p = ctx.write(p, z + (rz_new / rz) * p_val)
+                rz = rz_new
+                ctx.maybe_checkpoint(it)
+
+            # Mandatory end-of-step sweep when checks were deferred
+            # (§VI.A.2); a session defers it to its own end_step().
+            x_final = ctx.value_of(x)
+            ctx.finish()
+            break
+        except ctx.RECOVERABLE as exc:
+            saved = ctx.recover(exc)  # repairs state; raises if recovery is off
+            if saved is not None:
+                it = int(saved["it"])
+            # Restart the recurrence from the authoritative iterate: the
+            # rolled-back / repaired x defines the true residual, so any
+            # recurrence drift the corruption caused is discarded.
+            r_val = b - ctx.spmv(ctx.read(x))
+            rr = float(np.dot(r_val, r_val))
+            z, rz = direction(r_val, rr)
+            r = ctx.write(r, r_val)
+            p = ctx.write(p, z)
+            norms.append(float(np.sqrt(rr)))
+            converged = rr < eps
+    return SolverResult(
+        x=x_final, iterations=it, converged=converged,
+        residual_norms=norms, info=ctx.info(**info),
+    )
 
 
 def protected_cg_run(
@@ -90,6 +177,7 @@ def protected_cg_run(
     *,
     eps: float = 1e-15,
     max_iters: int = 10_000,
+    preconditioner=None,
     policy: CheckPolicy | None = None,
     vector_scheme: str | None = "secded64",
     engine: DeferredVerificationEngine | None = None,
@@ -99,6 +187,10 @@ def protected_cg_run(
 
     Parameters
     ----------
+    preconditioner:
+        Anything with ``.apply(r)`` (e.g. a
+        :class:`~repro.solvers.preconditioner.JacobiPreconditioner`), run
+        as opaque — see the module docstring.  ``None`` is plain CG.
     policy:
         Per-region check schedule; defaults to a full check before every
         SpMV and a vector check every iteration.  ``interval > 1`` (and
@@ -127,58 +219,4 @@ def protected_cg_run(
         matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
         session=session,
     )
-    engine = ctx.engine
-    x = ctx.wrap(np.zeros(ctx.n) if x0 is None else x0, "x")
-    r0 = b - ctx.initial_spmv(ctx.read(x))
-    r = ctx.wrap(r0, "r")
-    p = ctx.wrap(r0, "p")
-    rr = float(np.dot(ctx.read(r), ctx.read(r)))
-    norms = [float(np.sqrt(rr))]
-    converged = rr < eps
-    it = 0
-    ctx.maybe_checkpoint(it)
-    while True:
-        try:
-            while not converged and it < max_iters:
-                ctx.begin_iteration()
-                p_val = ctx.read(p)
-                w = ctx.spmv(p_val, out=ctx.spmv_out())
-                pw = float(np.dot(p_val, w))
-                if pw == 0.0:
-                    break
-                alpha = rr / pw
-                x = ctx.write(x, ctx.read(x) + alpha * p_val)
-                r_val = ctx.read(r) - alpha * w
-                r = ctx.write(r, r_val)
-                rr_new = float(np.dot(r_val, r_val))
-                norms.append(float(np.sqrt(rr_new)))
-                it += 1
-                if rr_new < eps:
-                    converged = True
-                    break
-                p = ctx.write(p, r_val + (rr_new / rr) * p_val)
-                rr = rr_new
-                ctx.maybe_checkpoint(it)
-
-            # Mandatory end-of-step sweep when checks were deferred
-            # (§VI.A.2); a session defers it to its own end_step().
-            x_final = ctx.value_of(x)
-            ctx.finish()
-            break
-        except ctx.RECOVERABLE as exc:
-            saved = ctx.recover(exc)  # repairs state; raises if recovery is off
-            if saved is not None:
-                it = int(saved["it"])
-            # Restart the recurrence from the authoritative iterate: the
-            # rolled-back / repaired x defines the true residual, so any
-            # recurrence drift the corruption caused is discarded.
-            r_val = b - ctx.spmv(ctx.read(x))
-            r = ctx.write(r, r_val)
-            p = ctx.write(p, r_val)
-            rr = float(np.dot(r_val, r_val))
-            norms.append(float(np.sqrt(rr)))
-            converged = rr < eps
-    return SolverResult(
-        x=x_final, iterations=it, converged=converged,
-        residual_norms=norms, info=ctx.info(),
-    )
+    return _cg_recurrence(ctx, b, x0, preconditioner, eps=eps, max_iters=max_iters)

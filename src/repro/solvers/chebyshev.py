@@ -18,7 +18,7 @@ import numpy as np
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
-from repro.solvers.base import LinearOperator, SolverResult, as_operator
+from repro.solvers.base import SolverResult, as_operator
 from repro.solvers.toolkit import ProtectedIteration
 
 
@@ -75,15 +75,21 @@ def chebyshev_solve(
     b: np.ndarray,
     x0: np.ndarray | None = None,
     *,
-    eig_min: float,
-    eig_max: float,
+    eig_min: float | None = None,
+    eig_max: float | None = None,
     eps: float = 1e-15,
     max_iters: int = 10_000,
 ) -> SolverResult:
-    """Chebyshev semi-iteration for SPD ``A`` with known spectral bounds."""
+    """Chebyshev semi-iteration for SPD ``A``.
+
+    ``eig_min``/``eig_max`` may be omitted; they are then estimated as
+    TeaLeaf bootstraps them (:func:`estimate_eigenvalue_bounds`).
+    """
+    op = as_operator(A)
+    if eig_min is None or eig_max is None:
+        eig_min, eig_max = estimate_eigenvalue_bounds(op)
     if not 0 < eig_min < eig_max:
         raise ValueError("need 0 < eig_min < eig_max")
-    op = as_operator(A)
     theta = (eig_max + eig_min) / 2.0
     delta = (eig_max - eig_min) / 2.0
     sigma = theta / delta
@@ -135,13 +141,7 @@ def protected_chebyshev_run(
         session=session,
     )
     if eig_min is None or eig_max is None:
-        # Estimate over just-verified clean views — no whole-matrix
-        # to_csr() decode, the estimate only needs matvec.  Fused solves
-        # defer the up-front sweep, so force it before decoding here.
-        ctx.ensure_verified()
-        eig_min, eig_max = estimate_eigenvalue_bounds(
-            LinearOperator(matrix.matvec_unchecked, matrix.n_rows, matrix.diagonal)
-        )
+        eig_min, eig_max = estimate_eigenvalue_bounds(ctx.verified_operator())
     if not 0 < eig_min < eig_max:
         raise ValueError("need 0 < eig_min < eig_max")
     theta = (eig_max + eig_min) / 2.0

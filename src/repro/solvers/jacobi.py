@@ -47,13 +47,11 @@ def jacobi_solve(
     while not converged and it < max_iters:
         x += d_inv * r
         it += 1
+        r = b - op.matvec(x)
         if it % check_every == 0 or it == max_iters:
-            r = b - op.matvec(x)
             norms.append(float(np.linalg.norm(r)))
             if norms[-1] ** 2 < eps:
                 converged = True
-        else:
-            r = b - op.matvec(x)
     return SolverResult(x=x, iterations=it, converged=converged, residual_norms=norms)
 
 
@@ -81,11 +79,9 @@ def protected_jacobi_run(
         matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
         session=session,
     )
-    # The whole solve iterates against this one decoded diagonal, so a
-    # fused schedule (which defers the up-front sweep) must verify
-    # storage before it is read.
-    ctx.ensure_verified()
-    d_inv = 1.0 / matrix.diagonal()
+    # The whole solve iterates against this one decoded diagonal, so it
+    # is read from verified storage (a fused schedule defers the sweep).
+    d_inv = 1.0 / ctx.verified_operator().diagonal()
     x = ctx.wrap(np.zeros(ctx.n) if x0 is None else x0, "x")
     r_val = b - ctx.initial_spmv(ctx.read(x))
     r = ctx.wrap(r_val, "r")

@@ -4,13 +4,13 @@ CG whose preconditioner is a fixed number of Chebyshev smoothing steps —
 TeaLeaf's communication-avoiding option.  The polynomial application is
 SPD for any inner step count, so outer CG theory holds.
 
-:func:`protected_ppcg_run` is the ABFT variant: the outer iteration's
-matrix and state vectors are protected and scheduled through the
-:class:`~repro.protect.engine.DeferredVerificationEngine`, while the
-polynomial preconditioner runs sandboxed on plain working arrays (its
-input is a verified read and its output is committed through the engine,
-the "opaque preconditioner" treatment) with every inner SpMV still
-counted against the matrix check schedule.
+There is no PPCG solver here, only that preconditioner and two
+constructors: :func:`ppcg_solve` is :func:`~repro.solvers.cg.cg_solve`
+with the polynomial for ``M``, and :func:`protected_ppcg_run` hands the
+one protected CG recurrence a polynomial over the *engine's* SpMV.  The
+polynomial runs as an opaque preconditioner on plain working arrays
+(see :mod:`repro.solvers.cg`), while each of its inner SpMVs still
+advances, and is verified on, the matrix check schedule.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
-from repro.solvers.base import LinearOperator, SolverResult, as_operator
+from repro.solvers.base import SolverResult, as_operator
+from repro.solvers.cg import _cg_recurrence, cg_solve
 from repro.solvers.chebyshev import estimate_eigenvalue_bounds
 from repro.solvers.toolkit import ProtectedIteration
 
@@ -59,42 +60,14 @@ def ppcg_solve(
     inner_steps: int = 4,
     eig_bounds: tuple[float, float] | None = None,
 ) -> SolverResult:
-    """PPCG: outer CG with a Chebyshev-polynomial preconditioner."""
+    """PPCG: :func:`cg_solve` with a Chebyshev-polynomial preconditioner."""
     op = as_operator(A)
     if eig_bounds is None:
         eig_bounds = estimate_eigenvalue_bounds(op)
-    eig_min, eig_max = eig_bounds
-    M = _ChebyshevPolyPreconditioner(op.matvec, eig_min, eig_max, inner_steps)
-
-    x = np.zeros(op.n) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - op.matvec(x)
-    z = M.apply(r)
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    norms = [float(np.linalg.norm(r))]
-    converged = norms[0] ** 2 < eps
-    it = 0
-    while not converged and it < max_iters:
-        w = op.matvec(p)
-        pw = float(np.dot(p, w))
-        if pw == 0.0:
-            break
-        alpha = rz / pw
-        x += alpha * p
-        r -= alpha * w
-        norms.append(float(np.linalg.norm(r)))
-        it += 1
-        if norms[-1] ** 2 < eps:
-            converged = True
-            break
-        z = M.apply(r)
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return SolverResult(
-        x=x, iterations=it, converged=converged, residual_norms=norms,
-        info={"inner_steps": inner_steps, "eig_bounds": eig_bounds},
-    )
+    M = _ChebyshevPolyPreconditioner(op.matvec, *eig_bounds, inner_steps)
+    result = cg_solve(op, b, x0, eps=eps, max_iters=max_iters, preconditioner=M)
+    result.info.update(inner_steps=inner_steps, eig_bounds=eig_bounds)
+    return result
 
 
 def protected_ppcg_run(
@@ -111,82 +84,19 @@ def protected_ppcg_run(
     engine: DeferredVerificationEngine | None = None,
     session=None,
 ) -> SolverResult:
-    """Fully protected PPCG driven by the deferred-verification engine.
+    """Fully protected PPCG: protected CG with the polynomial for ``M``.
 
-    The outer state vectors (x, r, p) are ABFT-protected; the Chebyshev
-    polynomial is applied to plain working arrays, but each of its inner
-    SpMVs goes through the engine so the matrix schedule (full check or
-    range check per access) still covers the preconditioner's traffic.
+    ``eig_bounds`` may be omitted; they are then estimated from verified
+    storage, as TeaLeaf bootstraps them.
     """
-    # The context force-verifies the matrix before anything decodes it:
-    # the eigenvalue estimate tunes the Chebyshev polynomial for the
-    # whole solve, so it must not be poisoned by a correctable flip the
-    # forced check would have fixed.
     ctx = ProtectedIteration(
         matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
         session=session,
     )
     if eig_bounds is None:
-        # Estimate over just-verified clean views — no whole-matrix
-        # to_csr() decode, the estimate only needs matvec.  Fused solves
-        # defer the up-front sweep, so force it before decoding here.
-        ctx.ensure_verified()
-        eig_bounds = estimate_eigenvalue_bounds(
-            LinearOperator(matrix.matvec_unchecked, matrix.n_rows, matrix.diagonal)
-        )
-    eig_min, eig_max = eig_bounds
-    M = _ChebyshevPolyPreconditioner(ctx.spmv, eig_min, eig_max, inner_steps)
-    x = ctx.wrap(np.zeros(ctx.n) if x0 is None else x0, "x")
-    r0 = b - ctx.initial_spmv(ctx.read(x))
-    z0 = M.apply(r0)
-    r = ctx.wrap(r0, "r")
-    p = ctx.wrap(z0, "p")
-    rz = float(np.dot(r0, z0))
-    norms = [float(np.linalg.norm(r0))]
-    converged = norms[0] ** 2 < eps
-    it = 0
-    ctx.maybe_checkpoint(it)
-    while True:
-        try:
-            while not converged and it < max_iters:
-                ctx.begin_iteration()
-                p_val = ctx.read(p)
-                w = ctx.spmv(p_val)
-                pw = float(np.dot(p_val, w))
-                if pw == 0.0:
-                    break
-                alpha = rz / pw
-                x = ctx.write(x, ctx.read(x) + alpha * p_val)
-                r_val = ctx.read(r) - alpha * w
-                r = ctx.write(r, r_val)
-                norms.append(float(np.linalg.norm(r_val)))
-                it += 1
-                if norms[-1] ** 2 < eps:
-                    converged = True
-                    break
-                z = M.apply(r_val)
-                rz_new = float(np.dot(r_val, z))
-                p = ctx.write(p, z + (rz_new / rz) * p_val)
-                rz = rz_new
-                ctx.maybe_checkpoint(it)
-
-            x_final = ctx.value_of(x)
-            ctx.finish()
-            break
-        except ctx.RECOVERABLE as exc:
-            saved = ctx.recover(exc)
-            if saved is not None:
-                it = int(saved["it"])
-            # Restart from the authoritative iterate: true residual,
-            # fresh preconditioned search direction.
-            r_val = b - ctx.spmv(ctx.read(x))
-            z = M.apply(r_val)
-            r = ctx.write(r, r_val)
-            p = ctx.write(p, z)
-            rz = float(np.dot(r_val, z))
-            norms.append(float(np.linalg.norm(r_val)))
-            converged = norms[-1] ** 2 < eps
-    return SolverResult(
-        x=x_final, iterations=it, converged=converged, residual_norms=norms,
-        info=ctx.info(inner_steps=inner_steps, eig_bounds=eig_bounds),
+        eig_bounds = estimate_eigenvalue_bounds(ctx.verified_operator())
+    M = _ChebyshevPolyPreconditioner(ctx.spmv, *eig_bounds, inner_steps)
+    return _cg_recurrence(
+        ctx, b, x0, M, eps=eps, max_iters=max_iters,
+        inner_steps=inner_steps, eig_bounds=eig_bounds,
     )

@@ -1,16 +1,8 @@
-"""Preconditioners: identity and Jacobi (TeaLeaf's tl_preconditioner_type)."""
+"""Preconditioners (TeaLeaf's tl_preconditioner_type): Jacobi; ``None`` is the identity."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class IdentityPreconditioner:
-    """No-op preconditioner (TeaLeaf's default)."""
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """Apply the preconditioner: return ``M^{-1} r``."""
-        return r
 
 
 class JacobiPreconditioner:

@@ -52,6 +52,7 @@ from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 from repro.protect.vector import ProtectedBlockVector, ProtectedVector
 from repro.recover.policy import RECOVERABLE_ERRORS
+from repro.solvers.base import LinearOperator
 
 
 def resolve_schedule(
@@ -123,8 +124,9 @@ class ProtectedIteration:
             # any other engine would silently skip that sweep.
             if session.engine is None:
                 raise ConfigurationError(
-                    "session has protection disabled; run the plain solver "
-                    "(session.solve dispatches this automatically)"
+                    "session has protection disabled and so no engine to run "
+                    "on; go through session.solve / repro.solve, which run "
+                    "the solve under ProtectionConfig.off() instead"
                 )
             if engine is None:
                 engine = session.engine
@@ -270,20 +272,22 @@ class ProtectedIteration:
             self._spmv_out = np.empty(lead + (self.n,), dtype=np.float64)
         return self._spmv_out
 
-    def ensure_verified(self) -> None:
-        """Force the up-front matrix sweep if the fused schedule skipped it.
+    def verified_operator(self) -> LinearOperator:
+        """The matrix as a plain operator over verified-clean decode views.
 
-        Fused solves defer initial verification to their first due
-        engine product — sound for solvers whose first matrix
-        consumption *is* an engine product, but anything decoded outside
-        the engine beforehand (eigenvalue estimation over the clean
-        views) must run this first so it never reads unverified storage.
-        No-op when the up-front sweep already ran.
+        For what a solver reads outside the engine schedule and then
+        keeps for the whole solve — the diagonal, the spectral bounds
+        that tune a Chebyshev polynomial — which must never come from
+        unverified storage.  Fused solves defer initial verification to
+        their first due engine product, so the up-front sweep they
+        skipped is forced here first (once).  Only matvec and the
+        diagonal: no whole-matrix ``to_csr()`` decode.
         """
-        if not self._init_check_skipped:
-            return
-        self._init_check_skipped = False
-        verify_matrix(self.matrix, self.policy, force=True)
+        if self._init_check_skipped:
+            self._init_check_skipped = False
+            verify_matrix(self.matrix, self.policy, force=True)
+        matrix = self.matrix
+        return LinearOperator(matrix.matvec_unchecked, matrix.n_rows, matrix.diagonal)
 
     def initial_spmv(self, x, out: np.ndarray | None = None) -> np.ndarray:
         """The residual-seeding product ``A @ x0``, verification-aware.

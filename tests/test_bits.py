@@ -14,13 +14,11 @@ from repro.bits import (
     fold_parity,
     insert_mantissa_lsbs,
     mask_mantissa_lsbs,
-    pack_csr_element_lanes,
     pack_u32_lanes,
     parity64,
     parity_lanes,
     popcount64,
     u64_to_f64,
-    unpack_csr_element_lanes,
     unpack_u32_lanes,
 )
 from repro.bits.popcount import _popcount64_swar
@@ -119,24 +117,6 @@ class TestPopcount:
 
 
 class TestPacking:
-    def test_csr_element_roundtrip(self):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal(33)
-        y = rng.integers(0, 2**24, 33).astype(np.uint32)
-        lanes = pack_csr_element_lanes(v, y)
-        v2, y2 = unpack_csr_element_lanes(lanes)
-        assert np.array_equal(v2, v)
-        assert np.array_equal(y2, y)
-
-    def test_csr_element_lane_layout(self):
-        lanes = pack_csr_element_lanes(np.array([1.0]), np.array([5], np.uint32))
-        assert lanes[0, 0] == np.uint64(0x3FF0000000000000)
-        assert lanes[0, 1] == np.uint64(5)
-
-    def test_csr_element_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pack_csr_element_lanes(np.zeros(3), np.zeros(4, np.uint32))
-
     @pytest.mark.parametrize("group", [1, 2, 4, 8])
     def test_u32_roundtrip(self, group):
         rng = np.random.default_rng(6)

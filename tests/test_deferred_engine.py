@@ -18,8 +18,6 @@ from repro.protect import (
     DeferredVerificationEngine,
     ProtectedCSRMatrix,
     ProtectedVector,
-    protected_axpy,
-    protected_dot,
     protected_spmv,
 )
 from repro.solvers.cg import protected_cg_run
@@ -253,9 +251,9 @@ class TestFusedKernels:
         engine = DeferredVerificationEngine(CheckPolicy(interval=8))
         a = ProtectedVector(a_vals, "secded64")
         b = ProtectedVector(b_vals, "secded64")
-        got = protected_dot(a, b, engine=engine)
+        got = float(np.dot(engine.read(a), engine.read(b)))
         assert got == pytest.approx(float(np.dot(a.values(), b.values())), rel=1e-15)
-        protected_axpy(2.0, a, b, engine=engine)
+        engine.write(b, 2.0 * engine.read(a) + engine.read(b))
         assert np.allclose(b.values(), 2.0 * a.values() + b_vals, atol=1e-9)
         assert b.dirty_window is not None  # write was buffered, not re-encoded
         assert engine.stats.deferred_stores == 1
@@ -270,10 +268,12 @@ class TestFusedKernels:
             protected_spmv(pmat, np.ones(matrix.n_cols), engine=engine)
 
     def test_fused_kernels_keep_eager_path_without_engine(self):
-        vec = ProtectedVector(np.ones(16), "sed")
+        matrix = make_matrix()
+        pmat = ProtectedCSRMatrix(matrix, "sed", "sed")
+        vec = ProtectedVector(np.ones(matrix.n_cols), "sed")
         f64_to_u64(vec.raw)[3] ^= np.uint64(1) << np.uint64(20)
         with pytest.raises(DetectedUncorrectableError):
-            protected_dot(vec, vec)
+            protected_spmv(pmat, vec)
 
 
 class TestDeferredSolvers:

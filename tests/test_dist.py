@@ -222,8 +222,8 @@ class TestShardState:
         reply = state.execute({"cmd": "residual", "halo": np.empty(0)})
         assert reply["status"] == "ok" if "status" in reply else True
         assert reply["rr"] == pytest.approx(float(np.dot(b, b)))
-        np.testing.assert_array_equal(state._read(state.r), b)
-        np.testing.assert_array_equal(state._read(state.p), b)
+        np.testing.assert_array_equal(state.ctx.read(state.r), b)
+        np.testing.assert_array_equal(state.ctx.read(state.p), b)
 
     def test_matrix_only_protection_rebinds_unprotected_vectors(self):
         # Regression: with vector_scheme=None the toolkit's write returns
@@ -234,7 +234,7 @@ class TestShardState:
         )
         state = ShardState(payload)
         state.execute({"cmd": "residual", "halo": np.empty(0)})
-        np.testing.assert_array_equal(state._read(state.r), b)
+        np.testing.assert_array_equal(state.ctx.read(state.r), b)
         reply = state.execute({"cmd": "spmv", "halo": np.empty(0)})
         assert reply["pw"] > 0.0
 
@@ -247,12 +247,12 @@ class TestShardState:
         rr_new = state.execute({"cmd": "update", "alpha": alpha, "it": 1})["rr"]
         assert 0.0 < rr_new < rr
         np.testing.assert_allclose(
-            state._read(state.x), alpha * b, rtol=0, atol=0
+            state.ctx.read(state.x), alpha * b, rtol=0, atol=0
         )
         beta = rr_new / rr
         pb = state.execute({"cmd": "pbound", "beta": beta})["pb"]
-        expected_p = state._read(state.r) + beta * b
-        np.testing.assert_array_equal(state._read(state.p), expected_p)
+        expected_p = state.ctx.read(state.r) + beta * b
+        np.testing.assert_array_equal(state.ctx.read(state.p), expected_p)
         np.testing.assert_array_equal(pb, expected_p[state.boundary_idx])
 
     def test_finish_reports_shard_info(self):

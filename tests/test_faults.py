@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.csr import five_point_operator
-from repro.errors import Outcome
+from repro.errors import DetectedUncorrectableError, Outcome
 from repro.faults import (
     BurstError,
     MultiBitFlip,
@@ -16,6 +16,9 @@ from repro.faults import (
     run_solver_campaign,
     run_vector_campaign,
 )
+from repro.faults.injector import FaultSpec, inject_into_matrix
+from repro.protect import ProtectionConfig
+from repro.solvers import JacobiPreconditioner, get_method
 
 
 def small_matrix(seed=0):
@@ -239,3 +242,41 @@ class TestSolverCampaign:
         assert result.info["method"] == method
         assert result.counts.get(Outcome.CORRECTED, 0) == 6
         assert result.sdc_rate == 0.0
+
+    @pytest.mark.parametrize("method", ["cg", "cg+jacobi", "ppcg", "jacobi", "chebyshev"])
+    @pytest.mark.parametrize("flips", [1, 2], ids=["single", "double"])
+    def test_flip_mid_solve_is_corrected_or_raised(self, method, flips):
+        """SECDED's bound holds through every body, the preconditioned
+        CG recurrence included: one flip in a codeword mid-solve is
+        corrected and reported, two raise."""
+        A = small_matrix()
+        x_true = np.random.default_rng(10).standard_normal(A.n_rows)
+        b = A.matvec(x_true)
+        method, _, preconditioned = method.partition("+")
+        extras = ({"preconditioner": JacobiPreconditioner(A.diagonal())}
+                  if preconditioned else {})
+        config = ProtectionConfig.paper_default()
+        engine, pmat = config.engine(), config.wrap_matrix(A)
+        iteration = iter(range(10**6))
+
+        def strike():
+            if next(iteration) == 2:
+                inject_into_matrix(
+                    pmat, Region.VALUES, [FaultSpec(11, 20 + k) for k in range(flips)])
+                pmat.invalidate_clean_views()
+
+        engine.add_iteration_hook(strike)
+
+        def run():
+            return get_method(method).protected(
+                pmat, b, engine=engine, vector_scheme=config.vector_scheme,
+                eps=1e-20, max_iters=20_000, **extras)
+
+        if flips == 2:
+            with pytest.raises(DetectedUncorrectableError):
+                run()
+            return
+        result = run()
+        assert result.converged
+        assert result.info["corrected"] == 1
+        assert np.allclose(result.x, x_true, atol=1e-7)

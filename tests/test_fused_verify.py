@@ -31,7 +31,7 @@ from repro.csr.build import five_point_operator
 from repro.errors import DetectedUncorrectableError
 from repro.protect.config import ProtectionConfig
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.solvers import get_method
+from repro.solvers import JacobiPreconditioner, get_method
 
 MATRIX_SCHEMES = ["sed", "secded64", "secded128", "crc32c"]
 
@@ -266,16 +266,19 @@ class TestSolverIntegration:
         assert runs[False].info["fused_products"] == 0
         assert np.allclose(runs[True].x, x_true, atol=1e-7)
 
-    @pytest.mark.parametrize("method", ["cg", "jacobi", "chebyshev", "ppcg"])
+    @pytest.mark.parametrize("method", ["cg", "jacobi", "chebyshev", "ppcg", "cg+jacobi"])
     def test_every_protected_method_converges_fused(self, method):
         A, b, x_true = make_system()
+        method, _, preconditioned = method.partition("+")
+        extras = ({"preconditioner": JacobiPreconditioner(A.diagonal())}
+                  if preconditioned else {})
         config = ProtectionConfig(
             element_scheme="secded64", rowptr_scheme="secded64",
             vector_scheme="secded64", interval=8, fused_verify=True,
         )
         pmat = ProtectedCSRMatrix(A, "secded64", "secded64")
         result = get_method(method).protected(
-            pmat, b, engine=config.engine(), max_iters=20_000,
+            pmat, b, engine=config.engine(), max_iters=20_000, **extras,
         )
         assert result.converged
         assert np.allclose(result.x, x_true, atol=1e-6)

@@ -12,10 +12,9 @@ from repro.protect import (
     CheckPolicy,
     ProtectedCSRMatrix,
     ProtectedVector,
-    protected_axpy,
-    protected_dot,
     protected_spmv,
 )
+from repro.protect.kernels import load_vector
 
 ELEMENT = ["sed", "secded64", "secded128", "crc32c"]
 ROWPTR = ["sed", "secded64", "secded128", "crc32c"]
@@ -183,9 +182,10 @@ class TestKernels:
         a, b = rng.standard_normal(32), rng.standard_normal(32)
         pa = ProtectedVector(a, "secded64")
         pb = ProtectedVector(b, "secded64")
-        assert np.isclose(protected_dot(pa, pb), np.dot(pa.values(), pb.values()))
+        # Check-on-read operands, whole-codeword commit of the result.
+        assert np.dot(load_vector(pa), load_vector(pb)) == np.dot(pa.values(), pb.values())
         expected = 2.5 * pa.values() + pb.values()
-        protected_axpy(2.5, pa, pb)
+        pb.store(2.5 * load_vector(pa) + load_vector(pb))
         # Stored result is the masked version of `expected`.
         assert np.allclose(pb.values(), expected, rtol=1e-12)
         assert pb.check().clean
@@ -195,4 +195,4 @@ class TestKernels:
         pb = ProtectedVector(np.ones(8), "sed")
         f64_to_u64(pa.raw)[2] ^= np.uint64(1) << np.uint64(20)
         with pytest.raises(DetectedUncorrectableError):
-            protected_axpy(1.0, pa, pb)
+            pb.store(1.0 * load_vector(pa) + load_vector(pb))

@@ -21,7 +21,14 @@ from repro.protect import (
     ProtectionConfig,
     ProtectionSession,
 )
-from repro.solvers import available_methods, cg_solve, get_method, solve
+from repro.solvers import (
+    JacobiPreconditioner,
+    LinearOperator,
+    available_methods,
+    cg_solve,
+    get_method,
+    solve,
+)
 
 METHODS = ("cg", "ppcg", "jacobi", "chebyshev")
 
@@ -246,6 +253,145 @@ class TestRegistry:
         res = solve(A, b, method="jacobi", check_every=5, eps=1e-24,
                     max_iters=20_000)
         assert np.allclose(res.x, x_true, atol=1e-8)
+
+
+class TestRouting:
+    """The one routing rule of ``repro.solve``, as a table.
+
+    On CSR storage (bare or pre-wrapped) every method runs its
+    engine-threaded body — under the null codec when unprotected; any
+    other operator runs the textbook function and cannot be protected;
+    a 2-D ``b`` runs the blocked body for plain CG and per-column
+    solves for everything else.  Which body ran is read off ``info``.
+    """
+
+    PROTECTIONS = {
+        "none": lambda: None,
+        "off": ProtectionConfig.off,
+        "config": lambda: ProtectionConfig.deferred(window=16),
+        "session": lambda: ProtectionSession(ProtectionConfig.deferred(window=16)),
+    }
+    OPERANDS = {
+        "csr": lambda A: A,
+        "prewrapped": lambda A: ProtectedCSRMatrix(A, "secded64", "secded64"),
+        "operator": lambda A: LinearOperator(A.matvec, A.n_rows, A.diagonal),
+    }
+
+    @staticmethod
+    def body(info) -> str:
+        if info.get("sequential_fallback"):
+            (column,) = {TestRouting.body(c) for c in info["columns"]}
+            return f"columns[{column}]"
+        if "full_checks" not in info:
+            return "textbook"
+        codec = "null" if info["vector_scheme"] is None else "protected"
+        return f"{'blocked' if 'block_width' in info else 'engine'}:{codec}"
+
+    @staticmethod
+    def expected(method, protection, operand, rank, kwargs=False) -> str | None:
+        protected = protection in ("config", "session")
+        if operand == "operator":
+            if protected:
+                return None  # nothing to wrap: a ConfigurationError
+            single = "textbook"
+        else:
+            single = "engine:protected" if protected else "engine:null"
+        if rank == 1:
+            return single
+        if method == "cg" and operand != "operator" and not kwargs:
+            return single.replace("engine", "blocked")
+        return f"columns[{single}]"
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("operand", OPERANDS)
+    @pytest.mark.parametrize("protection", PROTECTIONS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_routing_table(self, method, protection, operand, rank):
+        A, b, _ = make_system(6)
+        rhs = b if rank == 1 else np.stack([b, b[::-1]], axis=1)
+        prot = self.PROTECTIONS[protection]()
+        call = dict(method=method, protection=prot, eps=1e-12, max_iters=20_000)
+        want = self.expected(method, protection, operand, rank)
+        if want is None:
+            with pytest.raises(ConfigurationError, match="CSR storage"):
+                solve(self.OPERANDS[operand](A), rhs, **call)
+            return
+        res = solve(self.OPERANDS[operand](A), rhs, **call)
+        assert np.all(res.converged)
+        assert self.body(res.info) == want
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("protection", PROTECTIONS)
+    def test_preconditioner_is_honoured_under_every_protection(self, protection, rank):
+        """``preconditioner=`` used to crash the protected route; a
+        blocked ``b`` keeps the per-column fallback."""
+        A, b, _ = make_system(6)
+        rhs = b if rank == 1 else np.stack([b, b[::-1]], axis=1)
+        M = JacobiPreconditioner(A.diagonal())
+        res = solve(A, rhs, protection=self.PROTECTIONS[protection](),
+                    preconditioner=M, eps=1e-12)
+        assert np.all(res.converged)
+        assert self.body(res.info) == self.expected(
+            "cg", protection, "csr", rank, kwargs=True)
+
+    def test_distributed_names_the_kwarg_it_cannot_take(self):
+        A, b, _ = make_system(6)
+        with pytest.raises(ConfigurationError, match="preconditioner"):
+            solve(A, b, distributed=2,
+                  preconditioner=JacobiPreconditioner(A.diagonal()))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_unprotected_method_is_bitwise_its_textbook_function(self, method):
+        A, b, _ = make_system()
+        ref = get_method(method).plain(A, b, eps=1e-20, max_iters=20_000)
+        res = solve(A, b, method=method, eps=1e-20, max_iters=20_000)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.iterations == ref.iterations
+        assert res.residual_norms == ref.residual_norms
+        assert self.body(res.info) == "engine:null"
+
+
+class TestPreconditionedCG:
+    """Jacobi-preconditioned CG through the one protected recurrence."""
+
+    @pytest.mark.parametrize("protection", [None, ProtectionConfig.off()],
+                             ids=["none", "off"])
+    def test_unprotected_is_bitwise_cg_solve_with_M(self, protection):
+        A, b, _ = make_system()
+        M = JacobiPreconditioner(A.diagonal())
+        ref = cg_solve(A, b, eps=1e-24, preconditioner=M)
+        res = solve(A, b, protection=protection, eps=1e-24, preconditioner=M)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.iterations == ref.iterations
+        assert res.residual_norms == ref.residual_norms
+
+    @pytest.mark.parametrize("make_config", [
+        ProtectionConfig.paper_default, lambda: ProtectionConfig.deferred(16),
+    ], ids=["paper_default", "deferred16"])
+    def test_protected_converges_to_the_reference(self, make_config):
+        A, b, _ = make_system()
+        M = JacobiPreconditioner(A.diagonal())
+        ref = cg_solve(A, b, eps=1e-24, preconditioner=M)
+        res = solve(A, b, protection=make_config(), eps=1e-24, preconditioner=M)
+        assert res.converged
+        assert np.abs(res.x - ref.x).max() < 1e-8
+        assert res.info["full_checks"] > 0
+        assert res.info["vector_checks"] > 0
+        # M pays off exactly as in the reference: within the mantissa-LSB
+        # noise of the protected vectors, the same iteration count.
+        assert abs(res.iterations - ref.iterations) <= 2
+
+    def test_session_defers_the_sweep_to_end_step(self):
+        A, b, x_true = make_system()
+        session = ProtectionSession(ProtectionConfig.deferred(window=128))
+        res = session.solve(A, b, eps=1e-24,
+                            preconditioner=JacobiPreconditioner(A.diagonal()))
+        assert np.allclose(res.x, x_true, atol=1e-7)
+        assert session.pending_windows() > 0  # no per-solve finalize
+        flushed = session.stats.dirty_flushes
+        session.end_step()
+        assert session.pending_windows() == 0
+        assert session.stats.dirty_flushes > flushed
 
 
 class TestProtectionSession:

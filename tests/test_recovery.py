@@ -22,6 +22,7 @@ from repro.faults import (
 from repro.faults.injector import Region
 from repro.protect import ProtectionConfig, ProtectionSession
 from repro.recover import CheckpointStore, RecoveryManager, RecoveryPolicy
+from repro.solvers import JacobiPreconditioner
 from repro.solvers.registry import get_method, solve
 
 EPS = 1e-22
@@ -51,13 +52,14 @@ def sed_config(recovery, **overrides):
     return ProtectionConfig(**base)
 
 
-def run_cg_with_hook(config, matrix, b, hook_factory):
+def run_cg_with_hook(config, matrix, b, hook_factory, **kwargs):
     """Protected CG on a fresh engine with an iteration hook attached."""
     engine = config.engine()
     pmat = config.wrap_matrix(matrix)
     engine.add_iteration_hook(hook_factory(engine, pmat))
     return get_method("cg").protected(
-        pmat, b, engine=engine, vector_scheme=config.vector_scheme, eps=EPS
+        pmat, b, engine=engine, vector_scheme=config.vector_scheme, eps=EPS,
+        **kwargs,
     )
 
 
@@ -156,12 +158,20 @@ class TestCheckpointStore:
 
 # ---------------------------------------------------------------------------
 class TestMidSolveRecovery:
-    @pytest.mark.parametrize("strategy", ["rollback", "repopulate"])
-    def test_matrix_flip_recovers_and_matches_reference(self, strategy):
+    @pytest.mark.parametrize("strategy,preconditioned", [
+        pytest.param("rollback", False, id="rollback"),
+        pytest.param("repopulate", False, id="repopulate"),
+        # The restart re-derives z = M r from the authoritative iterate.
+        pytest.param("rollback", True, id="rollback-jacobi"),
+        pytest.param("repopulate", True, id="repopulate-jacobi"),
+    ])
+    def test_matrix_flip_recovers_and_matches_reference(self, strategy, preconditioned):
         matrix, b = make_problem()
         reference = solve(matrix, b, method="cg", eps=EPS)
+        kwargs = ({"preconditioner": JacobiPreconditioner(matrix.diagonal())}
+                  if preconditioned else {})
         result = run_cg_with_hook(
-            sed_config(strategy), matrix, b, flip_matrix_value_at(3)
+            sed_config(strategy), matrix, b, flip_matrix_value_at(3), **kwargs
         )
         assert result.converged
         assert np.allclose(result.x, reference.x, **TOL)

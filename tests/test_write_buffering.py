@@ -17,9 +17,9 @@ from repro.protect import (
     CheckPolicy,
     ProtectedCSRMatrix,
     ProtectedVector,
-    protected_axpy,
     protected_spmv,
 )
+from repro.protect.kernels import load_vector
 
 
 class TestStoreIsStateOblivious:
@@ -93,7 +93,7 @@ class TestCrossRegionScenarios:
         x = ProtectedVector(rng.standard_normal(32), "crc32c")
         y = ProtectedVector(rng.standard_normal(32), "crc32c")
         for alpha in (0.5, -1.25, 3.0):
-            protected_axpy(alpha, x, y)
+            y.store(alpha * load_vector(x) + load_vector(y))
             assert y.check().clean
 
     def test_due_aborts_before_bad_data_used(self):
