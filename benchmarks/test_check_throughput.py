@@ -13,7 +13,6 @@ check-then-product schedule it replaces.
 import numpy as np
 
 from _common import BENCH_N, write_report
-from repro import backends
 from repro.protect.config import ProtectionConfig
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.vector import ProtectedVector
@@ -64,11 +63,10 @@ def test_fused_verified_spmv_throughput(benchmark, bench_matrix, bench_x):
     """Verify-in-SpMV: full codeword coverage on the product's own traffic."""
     benchmark.group = "t1-fused-verify"
     pmat = ProtectedCSRMatrix(bench_matrix, "secded64", "secded64")
-    backend = backends.get_backend()
     out = np.empty(pmat.n_rows)
-    pmat.spmv_verified(bench_x, out=out, backend=backend)  # warm buffers
+    pmat.spmv_verified(bench_x, out=out)  # warm buffers
 
-    benchmark(lambda: pmat.spmv_verified(bench_x, out=out, backend=backend))
+    benchmark(lambda: pmat.spmv_verified(bench_x, out=out))
     codewords = pmat.elements.n_codewords + pmat.rowptr_protected.n_codewords
     fused_mean = benchmark.stats["mean"]
     benchmark.extra_info["codewords_per_sec"] = codewords / fused_mean

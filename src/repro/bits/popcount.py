@@ -4,31 +4,13 @@ Parity is *the* primitive of every scheme here: SED is one parity, SECDED
 is nine parities with different masks, CRC32C reduces to table lookups but
 its correction path still folds parities of syndrome signatures.
 
-NumPy >= 2.0 ships :func:`numpy.bitwise_count` which lowers to the POPCNT
-instruction; a portable SWAR fallback is kept for older NumPy and as a
-cross-check in tests.
+Counting is :func:`numpy.bitwise_count` (NumPy >= 2.0), which lowers to
+the POPCNT instruction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_SH56 = np.uint64(56)
-
-
-def _popcount64_swar(words: np.ndarray) -> np.ndarray:
-    """Branch-free SWAR popcount over uint64 (fallback path)."""
-    x = words.astype(np.uint64, copy=True)
-    x -= (x >> np.uint64(1)) & _M1
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return ((x * _H01) >> _SH56).astype(np.uint8)
 
 
 def popcount64(words: np.ndarray) -> np.ndarray:
@@ -40,9 +22,7 @@ def popcount64(words: np.ndarray) -> np.ndarray:
     words = np.asarray(words)
     if words.dtype.kind != "u":
         words = words.astype(np.uint64)
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words)
-    return _popcount64_swar(words)
+    return np.bitwise_count(words)
 
 
 def parity64(words: np.ndarray) -> np.ndarray:

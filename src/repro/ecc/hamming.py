@@ -39,9 +39,9 @@ overall parity of ``r``  syndrome ``s``        verdict
 
 All hot paths are vectorised: a check of ``N`` codewords costs
 ``m + 1`` mask/popcount passes over an ``(N, L)`` uint64 array.  The
-passes themselves run on the active kernel backend
-(:func:`repro.backends.get_backend`) through the code's persistent
-:class:`~repro.backends.base.SyndromeScratch`, cache-blocked and
+passes themselves are the chunk kernels of :mod:`repro.ecc.secded_kernels`,
+run through the code's persistent
+:class:`~repro.ecc.secded_kernels.SyndromeScratch`, cache-blocked and
 ``out=``-threaded so a full check allocates no temporary proportional
 to the codeword count; :meth:`SECDEDCode.scan` is the clean-path screen
 that answers "anything corrupted?" with zero large allocations at all.
@@ -53,9 +53,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.backends import get_backend
-from repro.backends.base import SyndromeScratch
 from repro.bits.packing import bits_to_lane_masks
+from repro.ecc import secded_kernels
 from repro.ecc.base import CheckReport, CodewordStatus, LaneCode
 from repro.errors import ConfigurationError
 
@@ -164,10 +163,10 @@ class SECDEDCode(LaneCode):
             table[col] = p
         self._decode_table = table
 
-        #: Persistent chunk buffers for the backend kernels.  Codes are
+        #: Persistent chunk buffers for the SECDED kernels.  Codes are
         #: process-wide singletons (see repro.ecc.profiles), so this is
         #: allocated once per layout and reused by every check.
-        self.scratch = SyndromeScratch()
+        self.scratch = secded_kernels.SyndromeScratch()
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -184,7 +183,7 @@ class SECDEDCode(LaneCode):
         which are forced to zero) is discarded.
         """
         lanes = self._as_lanes(lanes)
-        get_backend().encode(self, lanes)
+        secded_kernels.encode(self, lanes)
         return lanes
 
     def syndrome(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +196,13 @@ class SECDEDCode(LaneCode):
         n = lanes.shape[0]
         syn = np.empty(n, dtype=np.uint16)
         ptot = np.empty(n, dtype=np.uint8)
-        get_backend().syndrome_into(self, lanes, syn, ptot)
+        secded_kernels.syndrome_into(self, lanes, syn, ptot)
         return syn, ptot
 
     def syndrome_into(self, lanes: np.ndarray, syn: np.ndarray,
                       parity: np.ndarray) -> None:
         """Fused syndrome pass into caller-owned ``uint16``/``uint8`` outputs."""
-        get_backend().syndrome_into(self, self._as_lanes(lanes), syn, parity)
+        secded_kernels.syndrome_into(self, self._as_lanes(lanes), syn, parity)
 
     def scan(self, lanes: np.ndarray) -> int:
         """Number of corrupted codewords, allocation-free.
@@ -212,7 +211,7 @@ class SECDEDCode(LaneCode):
         verified without materialising per-codeword results, and only a
         nonzero answer pays for the detailed (allocating) decode.
         """
-        return get_backend().scan(self, self._as_lanes(lanes))
+        return secded_kernels.scan(self, self._as_lanes(lanes))
 
     def detect(self, lanes: np.ndarray) -> np.ndarray:
         """Boolean "corrupted" flag per codeword (no correction attempted)."""

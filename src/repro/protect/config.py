@@ -71,14 +71,8 @@ class ProtectionConfig:
         pass (and letting the end-of-step sweep skip matrices whose last
         product verified everything it consumed).  ``None`` (default)
         resolves to on unless the ``REPRO_FUSED_VERIFY=0`` environment
-        ablation disables it; schemes/backends without a fused kernel
-        fall back to verify-then-multiply with identical results and
-        accounting.
-    backend:
-        Kernel backend name (see :mod:`repro.backends`): ``None`` defers
-        to ``REPRO_BACKEND`` / the ``numpy_fused`` default; ``"numba"``
-        selects the jitted kernels where numba is installed (and falls
-        back cleanly where it is not).
+        ablation disables it; schemes without a fused kernel fall back
+        to verify-then-multiply with identical results and accounting.
     recovery:
         What happens when a DUE surfaces mid-solve: ``None`` (or the
         ``"raise"`` strategy) re-raises as always; a
@@ -97,7 +91,6 @@ class ProtectionConfig:
     correct: bool = True
     stripes: int = 1
     fused_verify: bool | None = None
-    backend: str | None = None
     recovery: RecoveryPolicy | str | None = None
 
     def __post_init__(self):
@@ -223,7 +216,7 @@ class ProtectionConfig:
         )
 
     def engine(self) -> DeferredVerificationEngine:
-        """A fresh engine scheduled by :meth:`policy` on this config's backend.
+        """A fresh engine scheduled by :meth:`policy`.
 
         When the config carries an escalating recovery policy the engine
         gets its own :class:`~repro.recover.manager.RecoveryManager`;
@@ -233,9 +226,7 @@ class ProtectionConfig:
         manager = None
         if self.recovery is not None and self.recovery.escalates:
             manager = RecoveryManager(self.recovery)
-        return DeferredVerificationEngine(
-            self.policy(), backend=self.backend, recovery=manager
-        )
+        return DeferredVerificationEngine(self.policy(), recovery=manager)
 
     def wrap_matrix(self, matrix) -> ProtectedCSRMatrix:
         """Encode a CSR matrix per this config (idempotent on wrapped input).

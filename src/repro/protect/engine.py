@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import backends
 from repro.errors import ConfigurationError, DetectedUncorrectableError
 from repro.protect.kernels import full_matrix_check, fused_matrix_spmv
 from repro.protect.matrix import ProtectedCSRMatrix
@@ -50,10 +49,6 @@ class DeferredVerificationEngine:
     lazily on first use; reads and writes then flow through the engine,
     which batches verification per the policy's intervals.
 
-    ``backend`` pins a kernel backend (see :mod:`repro.backends`) for
-    this engine's SpMVs and verification passes; ``None`` follows the
-    process default (``REPRO_BACKEND`` or ``numpy_fused``).
-
     ``recovery`` attaches a :class:`~repro.recover.manager.RecoveryManager`:
     a vector check that finds uncorrectable damage first offers the
     manager a transparent repair (rebuild from the authoritative plain
@@ -63,10 +58,8 @@ class DeferredVerificationEngine:
     restart its recurrence.
     """
 
-    def __init__(self, policy: CheckPolicy | None = None,
-                 backend: str | None = None, recovery=None):
+    def __init__(self, policy: CheckPolicy | None = None, recovery=None):
         self.policy = policy or CheckPolicy(interval=1, correct=True)
-        self.backend = None if backend is None else backends.get_backend(backend)
         self.recovery = recovery
         self._vectors: dict[int, tuple[str, ProtectedVector]] = {}
         self._matrices: dict[int, tuple[str, ProtectedCSRMatrix]] = {}
@@ -184,8 +177,8 @@ class DeferredVerificationEngine:
         ``stats.bounds_checks`` counts these snapshot-guarded accesses.
 
         With ``policy.fused_verify``, a due access on a matrix whose
-        scheme and backend support it instead runs the verify-in-SpMV
-        kernel: the backend screens every codeword on the
+        scheme supports it instead runs the verify-in-SpMV
+        kernel: it screens every codeword on the
         product's own gather traffic (no separate sweep pass, and no
         striping — full coverage costs nothing extra on this path) and
         the matrix earns *consumption coverage* toward skipping the
@@ -198,30 +191,23 @@ class DeferredVerificationEngine:
         if isinstance(x, ProtectedVector):
             x = self.read(x)
         self._read_since_check.add(key)
-        # Resolve at call time so REPRO_BACKEND / active() apply to the
-        # SpMV exactly as they do to the verification kernels.
-        backend = self.backend if self.backend is not None else backends.get_backend()
         if self.policy.should_check():
-            if self.policy.fused_verify and matrix.supports_fused_verify(backend):
+            if self.policy.fused_verify and matrix.supports_fused_verify():
                 name = self._matrices.get(key, ("matrix", None))[0]
                 self._read_since_check.discard(key)
                 self._stripe_cursor.pop(key, None)
-                with backends.active(self.backend):
-                    y = fused_matrix_spmv(
-                        matrix, x, self.policy, name=name, out=out, backend=backend
-                    )
+                y = fused_matrix_spmv(matrix, x, self.policy, name=name, out=out)
                 self._fused_cover.add(key)
                 return y
-            with backends.active(self.backend):
-                if self.policy.stripes > 1:
-                    self._verify_stripe(matrix)
-                else:
-                    self.verify_matrix(matrix)
+            if self.policy.stripes > 1:
+                self._verify_stripe(matrix)
+            else:
+                self.verify_matrix(matrix)
         elif self.policy.interval:
             matrix.clean_views()  # populate + validate if stale; no-op otherwise
             self.policy.stats.bounds_checks += 1
             self._fused_cover.discard(key)
-        return matrix.matvec_unchecked(x, out=out, backend=backend)
+        return matrix.matvec_unchecked(x, out=out)
 
     # -- scheduled verification ----------------------------------------
     def begin_iteration(self) -> bool:
@@ -233,8 +219,7 @@ class DeferredVerificationEngine:
             hook()
         if not self._vectors or not self.policy.vector_check_due():
             return False
-        with backends.active(self.backend):
-            self._check_vectors(only_read=True)
+        self._check_vectors(only_read=True)
         return True
 
     def finalize(self) -> None:
@@ -261,24 +246,22 @@ class DeferredVerificationEngine:
         and is swept as usual.
         """
         sweep = self.policy.end_of_step()
-        with backends.active(self.backend):
-            self._check_vectors(only_read=False, in_sweep=True)
-            if not sweep:
-                return
-            for key, (_, matrix) in self._matrices.items():
-                if key in self._fused_cover:
-                    self.policy.stats.sweeps_skipped += 1
-                    self._read_since_check.discard(key)
-                    continue
-                self.verify_matrix(matrix)
+        self._check_vectors(only_read=False, in_sweep=True)
+        if not sweep:
+            return
+        for key, (_, matrix) in self._matrices.items():
+            if key in self._fused_cover:
+                self.policy.stats.sweeps_skipped += 1
+                self._read_since_check.discard(key)
+                continue
+            self.verify_matrix(matrix)
 
     def verify_matrix(self, matrix: ProtectedCSRMatrix) -> None:
         """Full matrix check now, raising on uncorrectable damage."""
         name = self._matrices.get(id(matrix), ("matrix", None))[0]
         self._read_since_check.discard(id(matrix))
         self._stripe_cursor.pop(id(matrix), None)  # full check restarts rotation
-        with backends.active(self.backend):
-            full_matrix_check(matrix, self.policy, name=name)
+        full_matrix_check(matrix, self.policy, name=name)
 
     def _verify_stripe(self, matrix: ProtectedCSRMatrix) -> None:
         """Scheduled striped verification: one round-robin slice per due access."""
@@ -298,9 +281,8 @@ class DeferredVerificationEngine:
         verification is never skipped.
         """
         name = self._vectors.get(id(vector), ("vector", None))[0]
-        with backends.active(self.backend):
-            self._flush_vector(vector)
-            self._check_vector(name, vector)
+        self._flush_vector(vector)
+        self._check_vector(name, vector)
 
     def _check_vectors(self, only_read: bool, in_sweep: bool = False) -> None:
         for key, (name, vector) in self._vectors.items():

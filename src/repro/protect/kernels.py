@@ -78,7 +78,6 @@ def fused_matrix_spmv(
     policy: CheckPolicy,
     name: str | None = None,
     out: np.ndarray | None = None,
-    backend=None,
 ) -> np.ndarray:
     """A due SpMV whose matrix check runs fused inside the product.
 
@@ -91,9 +90,7 @@ def fused_matrix_spmv(
     product verifies each codeword once for all its right-hand sides) —
     and the same raise-on-uncorrectable contract.
     """
-    y, reports = matrix.spmv_verified(
-        x, out=out, correct=policy.correct, backend=backend
-    )
+    y, reports = matrix.spmv_verified(x, out=out, correct=policy.correct)
     policy.stats.full_checks += 1
     policy.stats.fused_products += 1
     _account_reports(reports, policy, name)

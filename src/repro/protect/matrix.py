@@ -13,13 +13,65 @@ import math
 
 import numpy as np
 
-from repro.backends.base import CHUNK
 from repro.csr.matrix import CSRMatrix
 from repro.csr.spmv import reduce_rows, spmv
 from repro.ecc.base import CheckReport
+from repro.ecc.secded_kernels import CHUNK, _chunk_screen_split
 from repro.errors import BoundsViolationError, DetectedUncorrectableError
 from repro.protect.csr_elements import ProtectedCSRElements
 from repro.protect.row_pointer import ProtectedRowPointer
+
+
+def _fused_gather_verify(
+    code, values, colidx, x, index_mask, n_cols, col64, products, gather
+):
+    """Single-pass syndrome + decode + gather + multiply over one-element codewords.
+
+    The verify-in-SpMV primitive behind
+    :meth:`ProtectedCSRMatrix.spmv_verified`.  Per cache-blocked chunk:
+    widen the stored colidx lane once into the scratch, run the
+    grid-aggregate screen (:func:`~repro.ecc.secded_kernels._chunk_screen_split`)
+    over the (value word, widened index) pairs, and — when the chunk
+    screens clean — strip the redundancy bits (``colidx & index_mask``),
+    bounds-check against ``n_cols``, gather ``x`` and multiply into
+    ``products``, filling ``col64[:nnz]`` on the way, all through
+    persistent buffers.  The screen, decode and bounds check never look
+    at the operand, so one pass covers every leading row of ``x``; clean
+    chunks gather through a contiguous ``(..., n)`` view of the flat
+    ``gather`` scratch (contiguity keeps ``np.take(..., axis=-1, out=)``
+    on its non-buffering path) and broadcast-multiply into
+    ``products[..., lo:hi]``.  Dirty or out-of-range chunks are skipped
+    and returned as ``[lo, hi)`` windows for the container's scalar
+    correction path (which re-screens them with exact per-element
+    syndromes); ``[]`` means everything was clean.
+    """
+    scratch = code.scratch
+    vwords = values.view(np.uint64)
+    nnz = values.size
+    lead = x.shape[:-1]
+    k = math.prod(lead)
+    mask64 = np.uint64(index_mask)
+    bad: list[tuple[int, int]] = []
+    for lo in range(0, nnz, scratch.chunk):
+        hi = min(lo + scratch.chunk, nnz)
+        n = hi - lo
+        lane = scratch.lane[:n]
+        np.copyto(lane, colidx[lo:hi], casting="same_kind")
+        if not _chunk_screen_split(code, vwords[lo:hi], lane, n, scratch):
+            bad.append((lo, hi))
+            continue
+        col = col64[lo:hi]
+        np.bitwise_and(lane, mask64, out=lane)
+        np.copyto(col, lane, casting="same_kind")
+        if int(col.max(initial=0)) >= n_cols:
+            bad.append((lo, hi))
+            continue
+        g = gather[: k * n].reshape(lead + (n,))
+        # mode="clip" skips numpy's internal bounce buffer; the
+        # max() screen above already guarantees in-range indices.
+        np.take(x, col, axis=-1, out=g, mode="clip")
+        np.multiply(values[lo:hi], g, out=products[..., lo:hi])
+    return bad
 
 
 class ProtectedCSRMatrix:
@@ -313,24 +365,21 @@ class ProtectedCSRMatrix:
         return views
 
     def matvec_unchecked(
-        self, x: np.ndarray, out: np.ndarray | None = None, backend=None
+        self, x: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """SpMV on the validated snapshot without any integrity verification.
 
         ``x`` is ``(..., n_cols)`` — a vector, or a block with one
         right-hand side per row; row ``j`` of a blocked result is
         bitwise identical to the 1-D call on ``x[j]`` (same gather
-        arithmetic, same left-to-right row reduction).  ``backend``
-        selects the SpMV kernel (a
-        :class:`~repro.backends.base.KernelBackend`); ``None`` uses the
-        reference NumPy kernel.  Either way the gather/multiply runs
-        through the matrix's persistent product scratch, so the inner
-        loop allocates nothing once ``out`` is supplied.
+        arithmetic, same left-to-right row reduction).  The
+        gather/multiply of :func:`repro.csr.spmv.spmv` runs through the
+        matrix's persistent product scratch, so the inner loop allocates
+        nothing once ``out`` is supplied.
         """
         colidx, rowptr = self.clean_views()
         products, gather = self._spmv_scratch(np.shape(x)[:-1])
-        kernel = spmv if backend is None else backend.spmv
-        return kernel(
+        return spmv(
             self.elements.values,
             colidx,
             rowptr,
@@ -342,34 +391,29 @@ class ProtectedCSRMatrix:
             lengths=self._row_lengths,
         )
 
-    def supports_fused_verify(self, backend) -> bool:
+    def supports_fused_verify(self) -> bool:
         """True when :meth:`spmv_verified` has a genuine single-pass path.
 
-        Requires a backend implementing ``fused_gather_verify`` and an
-        element scheme whose codeword is one ``(value, colidx)`` pair
-        (secded64).  Other schemes still accept :meth:`spmv_verified` —
-        they verify then multiply through the same persistent buffers —
-        but there is nothing to fuse at the codeword level.
+        Requires an element scheme whose codeword is one
+        ``(value, colidx)`` pair (secded64).  Other schemes still accept
+        :meth:`spmv_verified` — they verify then multiply through the
+        same persistent buffers — but there is nothing to fuse at the
+        codeword level.
         """
-        return (
-            self.elements.fused_code() is not None
-            and backend is not None
-            and getattr(backend, "supports_fused_verify", False)
-        )
+        return self.elements.fused_code() is not None
 
     def spmv_verified(
         self,
         x: np.ndarray,
         out: np.ndarray | None = None,
         correct: bool = True,
-        backend=None,
     ) -> tuple[np.ndarray | None, dict[str, CheckReport]]:
         """Verify-in-SpMV: check every codeword on the product's own traffic.
 
         Returns ``(y, reports)`` where ``reports`` maps region name to
         its :class:`~repro.ecc.base.CheckReport`, exactly like
         :meth:`check_all` — but the element verification happened *inside*
-        the matrix-vector product: per cache-blocked chunk the backend
+        the matrix-vector product: per cache-blocked chunk the kernel
         computes syndromes over the ``(value, index)`` lanes it is about
         to consume, decodes the clean indices, gathers and multiplies in
         the same pass.  Chunks that screen dirty detour through the
@@ -391,10 +435,9 @@ class ProtectedCSRMatrix:
 
         Falls back to verify-then-multiply over the same persistent
         buffers when :meth:`supports_fused_verify` is false for this
-        backend/scheme combination — same results, same reports, two
-        passes instead of one.
+        scheme — same results, same reports, two passes instead of one.
         """
-        if not self.supports_fused_verify(backend):
+        if not self.supports_fused_verify():
             rp_report = self.rowptr_protected.check(correct=correct)
             reports = {"row_pointer": rp_report}
             if not rp_report.ok:
@@ -405,7 +448,7 @@ class ProtectedCSRMatrix:
                 self.invalidate_clean_views()
             if not el_report.ok:
                 return None, reports
-            return self.matvec_unchecked(x, out=out, backend=backend), reports
+            return self.matvec_unchecked(x, out=out), reports
 
         el = self.elements
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -423,7 +466,7 @@ class ProtectedCSRMatrix:
             self._diagonal = None
         self._validate_rowptr()
 
-        bad = backend.fused_gather_verify(
+        bad = _fused_gather_verify(
             el.fused_code(), el.values, el.colidx, x,
             el.index_mask, self.n_cols, self._col64, products, gather,
         )

@@ -80,7 +80,7 @@ class CheckPolicy:
         always a full check regardless.
     fused_verify:
         Run due matrix checks *inside* the SpMV (verify-in-SpMV): the
-        backend screens each codeword on the gather traffic the product
+        kernel screens each codeword on the gather traffic the product
         already pays for, instead of a separate sweep pass before the
         multiply.  Detection guarantees are unchanged — every due access
         still verifies the same codewords — but the engine additionally

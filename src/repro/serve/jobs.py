@@ -53,7 +53,9 @@ def protection_from_spec(spec) -> ProtectionConfig | None:
     Accepts ``None`` (unprotected), a preset name from
     :data:`PROTECTION_PRESETS`, or a dict of config fields — optionally
     ``{"preset": name, **preset_kwargs}`` — with ``recovery`` given as a
-    strategy string or a ``RecoveryPolicy`` field dict.
+    strategy string or a ``RecoveryPolicy`` field dict.  Any spec the
+    config (or recovery policy) constructor rejects — unknown fields,
+    out-of-range or mistyped values — raises :class:`JobValidationError`.
     """
     if spec is None or spec == "off":
         return None
@@ -66,22 +68,25 @@ def protection_from_spec(spec) -> ProtectionConfig | None:
     if isinstance(spec, dict):
         spec = dict(spec)
         preset = spec.pop("preset", None)
+        if preset is not None and preset not in PROTECTION_PRESETS:
+            raise JobValidationError(
+                f"unknown protection preset {preset!r}; "
+                f"choose from {PROTECTION_PRESETS}"
+            )
         recovery = spec.pop("recovery", None)
-        if isinstance(recovery, dict):
-            from repro.recover import RecoveryPolicy
+        try:
+            if isinstance(recovery, dict):
+                from repro.recover import RecoveryPolicy
 
-            recovery = RecoveryPolicy(**recovery)
-        if preset is not None:
-            if preset not in PROTECTION_PRESETS:
-                raise JobValidationError(
-                    f"unknown protection preset {preset!r}; "
-                    f"choose from {PROTECTION_PRESETS}"
-                )
-            config = getattr(ProtectionConfig, preset)(**spec)
-        else:
-            config = ProtectionConfig(**spec)
-        if recovery is not None:
-            config = config.replace(recovery=recovery)
+                recovery = RecoveryPolicy(**recovery)
+            if preset is not None:
+                config = getattr(ProtectionConfig, preset)(**spec)
+            else:
+                config = ProtectionConfig(**spec)
+            if recovery is not None:
+                config = config.replace(recovery=recovery)
+        except (ConfigurationError, TypeError, ValueError) as exc:
+            raise JobValidationError(f"bad protection spec: {exc}") from exc
         return config
     raise JobValidationError(
         f"protection must be None, a preset name or a dict, not {type(spec).__name__}"

@@ -44,7 +44,6 @@ import dataclasses
 
 import numpy as np
 
-from repro import backends
 from repro.errors import BoundsViolationError, ConfigurationError
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.kernels import verify_matrix
@@ -144,15 +143,11 @@ class ProtectedIteration:
         self._named_state: list[tuple[str, ProtectedVector]] = []
         self._spmv_out: np.ndarray | None = None
         #: True when due matrix checks run fused inside the engine's SpMVs.
-        #: Requires both the policy knob and a matrix/backend pair that
+        #: Requires both the policy knob and a matrix scheme that
         #: supports the fused kernel — non-fusible schemes (sed, crc32c,
         #: secded128) keep the classic schedule, including the up-front
         #: forced sweep below.
-        self.fused = self.policy.fused_verify and matrix.supports_fused_verify(
-            self.engine.backend
-            if self.engine.backend is not None
-            else backends.get_backend()
-        )
+        self.fused = self.policy.fused_verify and matrix.supports_fused_verify()
         self.recovery = self.engine.recovery
         if self.recovery is not None:
             self.recovery.begin_solve()

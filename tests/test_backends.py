@@ -1,12 +1,10 @@
-"""Backend registry, fused-kernel parity, allocation bounds, striping.
+"""Chunked-kernel parity, allocation bounds, striping, snapshot validation.
 
-Four contracts pinned here:
+Three contracts pinned here:
 
-* the registry resolves ``numpy_fused`` by default, honours
-  ``REPRO_BACKEND`` and the engine's :func:`repro.backends.active`
-  override, and falls back cleanly when a named backend is unusable;
-* the fused kernels compute bit-identical syndromes/encodes to the
-  direct (unchunked) formulas, and match numba when it is present;
+* the chunked SECDED kernels compute bit-identical syndromes/encodes to
+  the direct (unchunked) formulas, and the unchecked product is the
+  reference CSR SpMV;
 * a full SECDED matrix check allocates no temporaries proportional to
   nnz — the persistent lane buffers and scratch do the work;
 * striped verification detects an injected flip within
@@ -18,8 +16,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import backends
-from repro.backends.numpy_fused import NumpyFusedBackend
 from repro.bits.float_bits import f64_to_u64
 from repro.bits.popcount import parity64
 from repro.csr.build import five_point_operator
@@ -45,64 +41,6 @@ def encoded_lanes(code, n=257, seed=0):
     lanes &= code._all_mask  # zero the padding outside the codeword
     code.encode(lanes)
     return lanes
-
-
-class TestRegistry:
-    def test_default_is_numpy_fused(self):
-        assert backends.get_backend().name == "numpy_fused"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy_fused")
-        assert backends.get_backend().name == "numpy_fused"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ConfigurationError):
-            backends.get_backend("no-such-backend")
-
-    def test_numpy_fused_always_available(self):
-        assert "numpy_fused" in backends.available_backends()
-
-    def test_numba_falls_back_cleanly_when_absent(self):
-        """get_backend('numba') must never fail the solve outright."""
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed: the fallback path is not reachable")
-        except ImportError:
-            pass
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            backend = backends.get_backend("numba")
-        assert backend.name == backends.DEFAULT_BACKEND
-        assert "numba" not in backends.available_backends()
-
-    def test_active_override_wins(self):
-        marker = NumpyFusedBackend()
-        with backends.active(marker) as installed:
-            assert installed is marker
-            assert backends.get_backend() is marker
-        assert backends.get_backend() is not marker
-
-    def test_active_none_is_passthrough(self):
-        with backends.active(None) as installed:
-            assert installed is backends.get_backend()
-
-    def test_config_with_unavailable_backend_still_solves(self):
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed: nothing to fall back from")
-        except ImportError:
-            pass
-        matrix = make_matrix()
-        b = np.random.default_rng(0).standard_normal(matrix.n_rows)
-        pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        config = ProtectionConfig.deferred(window=4).replace(backend="numba")
-        from repro.solvers.registry import solve
-
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            res = solve(pmat, b, method="cg", protection=config,
-                        eps=1e-20, max_iters=200)
-        assert res.converged
 
 
 class TestFusedKernelParity:
@@ -143,95 +81,15 @@ class TestFusedKernelParity:
         assert code.scan(lanes) == 0  # valid across the chunk seam
 
     def test_backend_spmv_matches_reference(self):
+        """The unchecked protected product is the reference CSR SpMV over
+        the decoded arrays, for the null codec and for secded64."""
         matrix = make_matrix()
         x = np.random.default_rng(5).standard_normal(matrix.n_cols)
-        expect = spmv(matrix.values, matrix.colidx, matrix.rowptr, x, matrix.n_rows)
-        got = backends.get_backend().spmv(
-            matrix.values,
-            matrix.colidx.astype(np.int64),
-            matrix.rowptr.astype(np.int64),
-            x,
-            matrix.n_rows,
-        )
-        assert np.allclose(got, expect)
-
-
-@pytest.mark.skipif(
-    not pytest.importorskip("repro.backends.numba_backend").HAS_NUMBA,
-    reason="numba not installed",
-)
-class TestNumbaParity:  # pragma: no cover - exercised only with numba
-    def test_syndrome_and_encode_match_numpy(self):
-        numba_backend = backends.get_backend("numba")
-        fused = backends.get_backend("numpy_fused")
-        code = csr_element_secded()
-        lanes = encoded_lanes(code, n=403, seed=13)
-        lanes[17, 0] ^= np.uint64(1) << np.uint64(40)
-        syn_a = np.empty(403, np.uint16)
-        par_a = np.empty(403, np.uint8)
-        syn_b = syn_a.copy()
-        par_b = par_a.copy()
-        fused.syndrome_into(code, lanes, syn_a, par_a)
-        numba_backend.syndrome_into(code, lanes, syn_b, par_b)
-        assert np.array_equal(syn_a, syn_b) and np.array_equal(par_a, par_b)
-        assert fused.scan(code, lanes) == numba_backend.scan(code, lanes)
-        a, b = lanes.copy(), lanes.copy()
-        fused.encode(code, a)
-        numba_backend.encode(code, b)
-        assert np.array_equal(a, b)
-
-    def test_spmv_matches_numpy(self):
-        numba_backend = backends.get_backend("numba")
-        matrix = make_matrix()
-        x = np.random.default_rng(5).standard_normal(matrix.n_cols)
-        expect = matrix.matvec(x)
-        got = numba_backend.spmv(
-            matrix.values,
-            matrix.colidx.astype(np.int64),
-            matrix.rowptr.astype(np.int64),
-            x,
-            matrix.n_rows,
-        )
-        assert np.allclose(got, expect)
-
-    def test_fused_gather_verify_matches_numpy(self):
-        """Same flagged windows, decoded indices and products, clean or
-        corrupt, as the numpy_fused verify-in-SpMV primitive."""
-        numba_backend = backends.get_backend("numba")
-        fused = backends.get_backend("numpy_fused")
-        assert numba_backend.supports_fused_verify
-        matrix = make_matrix(n=16)
-        x = np.random.default_rng(5).standard_normal(matrix.n_cols)
-        for flip in (None, 100):
-            pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-            if flip is not None:
-                f64_to_u64(pmat.values)[flip] ^= np.uint64(1) << np.uint64(31)
-            el = pmat.elements
-            results = []
-            for backend in (fused, numba_backend):
-                col64 = np.zeros(pmat.nnz, dtype=np.int64)
-                products = np.zeros(pmat.nnz, dtype=np.float64)
-                gather = np.empty(pmat.nnz, dtype=np.float64)
-                bad = backend.fused_gather_verify(
-                    el.fused_code(), el.values, el.colidx, x,
-                    el.index_mask, pmat.n_cols, col64, products, gather,
-                )
-                results.append((bad, col64, products))
-            assert results[0][0] == results[1][0]
-            assert (results[0][0] == []) == (flip is None)
-            assert np.array_equal(results[0][1], results[1][1])
-            assert np.array_equal(results[0][2], results[1][2])
-
-    def test_fused_solve_matches_numpy_backend(self):
-        matrix = make_matrix()
-        x = np.random.default_rng(9).standard_normal(matrix.n_cols)
-        results = {}
-        for name in ("numpy_fused", "numba"):
-            pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-            y, reports = pmat.spmv_verified(x, backend=backends.get_backend(name))
-            assert reports["csr_elements"].ok
-            results[name] = y
-        assert np.array_equal(results["numpy_fused"], results["numba"])
+        for scheme in (None, "secded64"):
+            pmat = ProtectedCSRMatrix(matrix, scheme, scheme)
+            dec = pmat.to_csr()
+            expect = spmv(dec.values, dec.colidx, dec.rowptr, x, dec.n_rows)
+            assert np.array_equal(pmat.matvec_unchecked(x), expect)
 
 
 class TestAllocationFreeChecks:

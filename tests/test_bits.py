@@ -21,7 +21,6 @@ from repro.bits import (
     u64_to_f64,
     unpack_u32_lanes,
 )
-from repro.bits.popcount import _popcount64_swar
 
 u64s = hnp.arrays(np.uint64, st.integers(1, 64),
                   elements=st.integers(0, 2**64 - 1))
@@ -90,11 +89,6 @@ class TestPopcount:
     def test_popcount_known_values(self):
         w = np.array([0, 1, 3, 0xFF, 2**64 - 1], dtype=np.uint64)
         assert np.array_equal(popcount64(w), [0, 1, 2, 8, 64])
-
-    @given(u64s)
-    @settings(max_examples=50, deadline=None)
-    def test_swar_matches_bitwise_count(self, w):
-        assert np.array_equal(_popcount64_swar(w), np.bitwise_count(w))
 
     @given(u64s)
     @settings(max_examples=50, deadline=None)

@@ -8,7 +8,7 @@ The contracts pinned here (ISSUE 10):
   history;
 * the kernels are rank-polymorphic — row ``j`` of a ``(k, n)`` product
   is bitwise the 1-D product on ``X[j]``, clean or damaged, on every
-  scheme and backend — so an injected matrix flip is corrected for all
+  scheme — so an injected matrix flip is corrected for all
   ``k`` products at once, and damage confined to one column of a
   blocked vector store is repaired without perturbing the siblings;
 * the multi-RHS gather tile is persistent: a warm blocked verified
@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro import backends
 from repro.bits.float_bits import f64_to_u64
 from repro.csr.build import five_point_operator
 from repro.errors import ConfigurationError
@@ -79,7 +78,7 @@ def report_key(reports):
     }
 
 
-def rank_parity_cell(scheme, backend, flips):
+def rank_parity_cell(scheme, flips):
     """One cell of the rank-parity table.
 
     ``flips`` bits of one stored value are flipped, then the ``(k, n)``
@@ -98,30 +97,29 @@ def rank_parity_cell(scheme, backend, flips):
             f64_to_u64(pmat.values)[17] ^= np.uint64(1) << np.uint64(bit)
         return pmat
 
-    Y, reports = damaged().spmv_verified(X, backend=backend)
+    Y, reports = damaged().spmv_verified(X)
     for j in range(X.shape[0]):
-        y, solo_reports = damaged().spmv_verified(X[j], backend=backend)
+        y, solo_reports = damaged().spmv_verified(X[j])
         assert report_key(solo_reports) == report_key(reports)
         if Y is None:
             assert y is None
         else:
             assert np.array_equal(Y[j], y)
-    U = damaged().matvec_unchecked(X, backend=backend)
+    U = damaged().matvec_unchecked(X)
     for j in range(X.shape[0]):
-        assert np.array_equal(U[j], damaged().matvec_unchecked(X[j], backend=backend))
+        assert np.array_equal(U[j], damaged().matvec_unchecked(X[j]))
     return Y, reports
 
 
 class TestKernelParity:
     """Rank is data: row j of a ``(k, n)`` call is bitwise the 1-D call
-    on ``X[j]``, for every scheme on every available backend."""
+    on ``X[j]``, for every scheme."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_clean_blocked_product_matches_single(self, scheme):
-        for name in backends.available_backends():
-            Y, reports = rank_parity_cell(scheme, backends.get_backend(name), ())
-            assert Y is not None
-            assert reports["row_pointer"].ok and reports["csr_elements"].ok
+        Y, reports = rank_parity_cell(scheme, ())
+        assert Y is not None
+        assert reports["row_pointer"].ok and reports["csr_elements"].ok
 
     def test_correctable_flip_repaired_for_all_columns(self):
         """One flip: corrected where the scheme corrects, for every
@@ -130,16 +128,14 @@ class TestKernelParity:
         matrix = make_matrix(seed=5)
         X = np.random.default_rng(7).standard_normal((5, matrix.n_cols))
         clean = np.stack([matrix.matvec(X[j]) for j in range(X.shape[0])])
-        for name in backends.available_backends():
-            backend = backends.get_backend(name)
-            for scheme in SCHEMES:
-                Y, reports = rank_parity_cell(scheme, backend, (40,))
-                if scheme.startswith("secded"):
-                    assert reports["csr_elements"].n_corrected == 1
-                    assert np.array_equal(Y, clean)
-                Y, reports = rank_parity_cell(scheme, backend, (40, 17))
-                if scheme.startswith("secded"):
-                    assert Y is None and not reports["csr_elements"].ok
+        for scheme in SCHEMES:
+            Y, reports = rank_parity_cell(scheme, (40,))
+            if scheme.startswith("secded"):
+                assert reports["csr_elements"].n_corrected == 1
+                assert np.array_equal(Y, clean)
+            Y, reports = rank_parity_cell(scheme, (40, 17))
+            if scheme.startswith("secded"):
+                assert Y is None and not reports["csr_elements"].ok
 
     def test_multi_gather_tile_is_allocation_free_when_warm(self):
         """A warm blocked verified product must not allocate a fresh
@@ -149,11 +145,10 @@ class TestKernelParity:
         k = 4
         X = np.random.default_rng(0).standard_normal((k, matrix.n_cols))
         out = np.empty((k, pmat.n_rows))
-        backend = backends.get_backend()
-        pmat.spmv_verified(X, out=out, backend=backend)  # warm
+        pmat.spmv_verified(X, out=out)  # warm
         tracemalloc.start()
         for _ in range(3):
-            Y, reports = pmat.spmv_verified(X, out=out, backend=backend)
+            Y, reports = pmat.spmv_verified(X, out=out)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert Y is out and reports["csr_elements"].ok

@@ -25,7 +25,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import backends
 from repro.bits.float_bits import f64_to_u64
 from repro.csr.build import five_point_operator
 from repro.errors import DetectedUncorrectableError
@@ -63,8 +62,7 @@ class TestBitwiseParity:
         matrix = make_matrix()
         pmat = ProtectedCSRMatrix(matrix, scheme, scheme)
         x = np.random.default_rng(7).standard_normal(matrix.n_cols)
-        backend = backends.get_backend()
-        y, reports = pmat.spmv_verified(x, backend=backend)
+        y, reports = pmat.spmv_verified(x)
         assert reports["row_pointer"].ok and reports["csr_elements"].ok
         assert np.array_equal(y, reference_product(pmat, x))
         assert np.array_equal(y, matrix.matvec(x))
@@ -78,7 +76,7 @@ class TestBitwiseParity:
         x = np.random.default_rng(11).standard_normal(matrix.n_cols)
         clean = reference_product(pmat, x)
         f64_to_u64(pmat.values)[17] ^= np.uint64(1) << np.uint64(40)
-        y, reports = pmat.spmv_verified(x, backend=backends.get_backend())
+        y, reports = pmat.spmv_verified(x)
         assert reports["csr_elements"].n_corrected == 1
         assert reports["csr_elements"].ok
         assert np.array_equal(y, clean)
@@ -93,7 +91,7 @@ class TestBitwiseParity:
         x = np.random.default_rng(13).standard_normal(matrix.n_cols)
         clean = reference_product(pmat, x)
         pmat.colidx[23] ^= np.uint32(1) << np.uint32(3)
-        y, reports = pmat.spmv_verified(x, backend=backends.get_backend())
+        y, reports = pmat.spmv_verified(x)
         assert reports["csr_elements"].n_corrected == 1
         assert np.array_equal(y, clean)
 
@@ -102,9 +100,7 @@ class TestBitwiseParity:
         matrix = make_matrix()
         pmat = ProtectedCSRMatrix(matrix, scheme, scheme)
         f64_to_u64(pmat.values)[7] ^= np.uint64(0b101) << np.uint64(30)
-        y, reports = pmat.spmv_verified(
-            np.ones(matrix.n_cols), backend=backends.get_backend()
-        )
+        y, reports = pmat.spmv_verified(np.ones(matrix.n_cols))
         assert y is None
         assert not reports["csr_elements"].ok
         assert reports["csr_elements"].n_uncorrectable >= 1
@@ -115,29 +111,31 @@ class TestBitwiseParity:
         x = np.ones(matrix.n_cols)
         clean = reference_product(pmat, x)
         pmat.rowptr_protected.raw[3] ^= np.uint32(1) << np.uint32(2)
-        y, reports = pmat.spmv_verified(x, backend=backends.get_backend())
+        y, reports = pmat.spmv_verified(x)
         assert reports["row_pointer"].n_corrected == 1
         assert np.array_equal(y, clean)
 
     def test_fallback_without_backend_matches(self):
-        """backend=None forces the verify-then-multiply fallback; results
-        and reports must match the fused path bit for bit."""
+        """The fused product on secded64 matches its two-pass equivalent —
+        ``check_all()`` then ``matvec_unchecked`` — bit for bit, reports
+        included."""
         matrix = make_matrix()
         x = np.random.default_rng(3).standard_normal(matrix.n_cols)
         fused = ProtectedCSRMatrix(matrix, "secded64", "secded64")
         plain = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        assert not plain.supports_fused_verify(None)
-        y_fused, _ = fused.spmv_verified(x, backend=backends.get_backend())
-        y_plain, reports = plain.spmv_verified(x, backend=None)
-        assert reports["csr_elements"].ok
+        assert fused.supports_fused_verify()
+        y_fused, fused_reports = fused.spmv_verified(x)
+        reports = plain.check_all()
+        y_plain = plain.matvec_unchecked(x)
+        for region, report in reports.items():
+            assert report.ok and fused_reports[region].ok
+            assert report.n_codewords == fused_reports[region].n_codewords
         assert np.array_equal(y_fused, y_plain)
 
     def test_snapshot_refreshed_on_fused_success(self):
         pmat = ProtectedCSRMatrix(make_matrix(), "secded64", "secded64")
         pmat.invalidate_clean_views()
-        pmat.spmv_verified(
-            np.ones(pmat.n_cols), backend=backends.get_backend()
-        )
+        pmat.spmv_verified(np.ones(pmat.n_cols))
         assert pmat._views_valid
 
 
@@ -294,11 +292,10 @@ class TestAllocationBounds:
         pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
         x = np.random.default_rng(0).standard_normal(matrix.n_cols)
         out = np.empty(pmat.n_rows)
-        backend = backends.get_backend()
-        pmat.spmv_verified(x, out=out, backend=backend)  # warm everything
+        pmat.spmv_verified(x, out=out)  # warm everything
         tracemalloc.start()
         for _ in range(3):
-            y, reports = pmat.spmv_verified(x, out=out, backend=backend)
+            y, reports = pmat.spmv_verified(x, out=out)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert y is out and reports["csr_elements"].ok

@@ -512,6 +512,31 @@ class TestServerRoundTrip:
         with pytest.raises(ServeClientError):
             live_server.result("job-nonexistent")
 
+    @pytest.mark.parametrize("protection", [
+        {"interval": -1},
+        {"element_scheme": "hamming7"},
+        {"bogus": 1},
+        {"interval": "x"},
+        {"backend": "nope"},
+    ], ids=["negative-interval", "unknown-scheme", "unknown-field",
+            "mistyped-interval", "removed-backend-field"])
+    def test_bad_protection_spec_is_a_typed_reply(self, live_server, protection):
+        """A protection spec the config rejects gets an ``ok: false``
+        reply, and the same connection keeps serving."""
+        bad = {"op": "submit", "job": five_point_job(protection=protection)}
+        good = {"op": "submit", "job": five_point_job(b_seed=9)}
+        with socket.create_connection((live_server.host, live_server.port),
+                                      timeout=30) as sock:
+            stream = sock.makefile("rwb")
+            replies = []
+            for request in (bad, good):
+                stream.write(json.dumps(request).encode() + b"\n")
+                stream.flush()
+                replies.append(json.loads(stream.readline()))
+        assert replies[0]["ok"] is False
+        assert "protection" in replies[0]["error"]
+        assert replies[1]["ok"] is True and replies[1]["job_id"]
+
     def test_solve_many_convenience(self, live_server):
         records = live_server.solve_many(
             [five_point_job(b_seed=i) for i in range(3)]
