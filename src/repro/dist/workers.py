@@ -62,8 +62,7 @@ import time
 
 import numpy as np
 
-from repro.protect.config import ProtectionConfig
-from repro.protect.matrix import ProtectedCSRMatrix
+from repro.protect.config import _solve_config, _wrap_for_solve
 from repro.recover.policy import RECOVERABLE_ERRORS
 from repro.solvers.toolkit import ProtectedIteration
 
@@ -100,17 +99,10 @@ class ShardState:
         self.boundary_idx = np.asarray(payload["boundary_idx"], dtype=np.int64)
         self.n_local = int(self.b.size)
         matrix = payload["matrix"]
-        protection = payload.get("protection")
-        self.protected = protection is not None and protection.enabled
-        if self.protected:
-            pmat = protection.wrap_matrix(matrix)
-        else:
-            # The shard owns its block and nothing writes through a null
-            # codec, so the wrap may share the block's arrays.
-            protection = ProtectionConfig.off()
-            pmat = ProtectedCSRMatrix._alias(matrix)
+        protection = _solve_config(payload.get("protection"))
+        self.protected = protection.enabled
         self.ctx = ProtectedIteration(
-            pmat, engine=protection.engine(),
+            _wrap_for_solve(protection, matrix), engine=protection.engine(),
             vector_scheme=protection.vector_scheme,
         )
         zeros = np.zeros(self.n_local)

@@ -239,3 +239,30 @@ class ProtectionConfig:
         if isinstance(matrix, ProtectedCSRMatrix):
             return matrix
         return ProtectedCSRMatrix(matrix, self.element_scheme, self.rowptr_scheme)
+
+
+def _solve_config(config: ProtectionConfig | None) -> ProtectionConfig:
+    """The config a solve under ``config`` runs: unprotected is :meth:`~ProtectionConfig.off`.
+
+    ``None`` and every disabled config (no region carries redundancy)
+    run as ``off()`` — interval 0, no recovery — whatever schedule or
+    recovery policy the disabled config names.
+    """
+    if config is not None and config.enabled:
+        return config
+    return ProtectionConfig.off()
+
+
+def _wrap_for_solve(config: ProtectionConfig, matrix) -> ProtectedCSRMatrix:
+    """The matrix a solve under ``config`` runs against.
+
+    An enabled config encodes a copy (:meth:`ProtectionConfig.wrap_matrix`)
+    and an already-protected matrix passes through.  Otherwise the null
+    codec *aliases* the caller's arrays: a disabled config solves under
+    :func:`_solve_config`'s ``off()``, so nothing writes through the wrap
+    (no recovery re-encode) and the baseline pays no nnz-sized copy.
+    Callers that inject into the result call ``wrap_matrix`` instead.
+    """
+    if config.enabled or isinstance(matrix, ProtectedCSRMatrix):
+        return config.wrap_matrix(matrix)
+    return ProtectedCSRMatrix._alias(matrix)

@@ -109,7 +109,8 @@ class ProtectedCSRMatrix:
     def _alias(cls, matrix: CSRMatrix) -> "ProtectedCSRMatrix":
         """The null codec over the caller's own element arrays — no copy.
 
-        What ``repro.solve`` wraps an unprotected CG in: both regions
+        What an unprotected solve runs on (see
+        :func:`repro.protect.config._wrap_for_solve`): both regions
         are null rows and the elements *alias* ``matrix`` (the row
         pointer container keeps its own ``n_rows + 1`` entries), so the
         baseline runs the same kernels and runners at no nnz-sized

@@ -29,8 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BoundsViolationError, DetectedUncorrectableError
-from repro.protect.config import ProtectionConfig
-from repro.protect.engine import DeferredVerificationEngine
+from repro.protect.config import ProtectionConfig, _solve_config, _wrap_for_solve
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import PolicyStats
 from repro.protect.vector import ProtectedVector
@@ -43,37 +42,40 @@ class ProtectionSession:
     ----------
     config:
         The :class:`ProtectionConfig` driving every solve in the session.
-        Defaults to :meth:`ProtectionConfig.paper_default`.
+        Defaults to :meth:`ProtectionConfig.paper_default`.  A disabled
+        config (no region carries redundancy) runs as
+        :meth:`ProtectionConfig.off`, exactly as ``repro.solve`` runs it:
+        the session still owns an engine, which schedules nothing.
     """
 
     def __init__(self, config: ProtectionConfig | None = None):
-        self.config = config if config is not None else ProtectionConfig.paper_default()
-        self.engine: DeferredVerificationEngine | None = (
-            self.config.engine() if self.config.enabled else None
+        self.config = _solve_config(
+            config if config is not None else ProtectionConfig.paper_default()
         )
+        self.engine = self.config.engine()
         self._transient: list = []
         self.steps_completed = 0
 
     # -- introspection --------------------------------------------------
     @property
     def policy(self):
-        """The session-wide scheduler (``None`` when protection is off)."""
-        return self.engine.policy if self.engine is not None else None
+        """The session-wide scheduler."""
+        return self.engine.policy
 
     @property
-    def stats(self) -> PolicyStats | None:
+    def stats(self) -> PolicyStats:
         """Cumulative policy counters across every solve so far."""
-        return self.engine.policy.stats if self.engine is not None else None
+        return self.engine.policy.stats
 
     @property
     def recovery(self):
         """The session's :class:`~repro.recover.manager.RecoveryManager`.
 
-        ``None`` when protection is off or the config's recovery policy
-        is absent / ``"raise"``.  Shared by every solve in the session;
-        the retry budget resets per solve, the stats accumulate.
+        ``None`` when the config's recovery policy is absent /
+        ``"raise"``.  Shared by every solve in the session; the retry
+        budget resets per solve, the stats accumulate.
         """
-        return self.engine.recovery if self.engine is not None else None
+        return self.engine.recovery
 
     def pending_windows(self) -> int:
         """Dirty windows currently open across the session's regions.
@@ -95,18 +97,17 @@ class ProtectionSession:
             self._transient.append(region)
 
     def wrap_matrix(self, matrix) -> ProtectedCSRMatrix:
-        """Encode a matrix per the config and track it for the next sweep.
+        """Wrap a matrix for a solve under the config; track it for the sweep.
 
-        Pre-wrapped matrices are used as-is but still tracked: the solve
-        registers them with the long-lived engine, so without release at
-        ``end_step`` a session looping over fresh matrices would sweep
-        (and keep) every dead one forever.  A caller reusing one matrix
-        across steps loses nothing — the next solve re-registers it.
+        Wrapping follows :func:`~repro.protect.config._wrap_for_solve`
+        (encoded, passed through, or a no-copy null codec).  Pre-wrapped
+        matrices are still tracked: the solve registers them with the
+        long-lived engine, so without release at ``end_step`` a session
+        looping over fresh matrices would sweep (and keep) every dead one
+        forever.  A caller reusing one matrix across steps loses nothing —
+        the next solve re-registers it.
         """
-        if isinstance(matrix, ProtectedCSRMatrix):
-            self.track(matrix)
-            return matrix
-        pmat = self.config.wrap_matrix(matrix)
+        pmat = _wrap_for_solve(self.config, matrix)
         self.track(pmat)
         return pmat
 
@@ -163,8 +164,6 @@ class ProtectionSession:
         guarantee, delivered earlier) and unregisters it; vectors with
         open dirty windows keep spanning the boundary until the sweep.
         """
-        if self.engine is None:
-            return
         kept, retired = [], []
         for region in self._transient:
             if isinstance(region, ProtectedVector) and region.dirty_window is not None:
@@ -196,8 +195,6 @@ class ProtectionSession:
         the step — the TeaLeaf driver's mode) re-enters a clean window
         instead of inheriting the failed one's counters mid-phase.
         """
-        if self.engine is None:
-            return
         self._release_all()
         self.engine.policy.reset()
 
@@ -209,9 +206,6 @@ class ProtectionSession:
         and keeping the dead regions registered would make every later
         sweep re-raise from storage nothing reads any more.
         """
-        if self.engine is None:
-            self.steps_completed += 1
-            return
         try:
             self.engine.finalize()
         finally:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.protect.config import _solve_config
 from repro.protect.session import ProtectionSession
 from repro.serve.jobs import build_matrix, matrix_key, protection_canonical, protection_from_spec
 
@@ -90,7 +91,8 @@ class SessionPool:
     A session is the unit that amortises verification *across* solves:
     reusing one per (matrix, protection) pair means batch k+1 inherits
     batch k's engine schedule instead of restarting the check phase.
-    Unprotected specs get no session (``get`` returns ``None``).
+    Unprotected specs get an :meth:`~repro.protect.config.ProtectionConfig.off`
+    session, so every job runs through one.
     """
 
     def __init__(self, max_entries: int = 16):
@@ -98,17 +100,14 @@ class SessionPool:
         self._sessions: OrderedDict[tuple[str, str], ProtectionSession] = OrderedDict()
         self.stats = {"created": 0, "reused": 0}
 
-    def get(self, matrix_spec: dict, protection_spec) -> ProtectionSession | None:
+    def get(self, matrix_spec: dict, protection_spec) -> ProtectionSession:
         """The warm session for this (matrix, protection) pair, minting on miss."""
-        config = protection_from_spec(protection_spec)
-        if config is None or not config.enabled:
-            return None
         key = (matrix_key(matrix_spec), protection_canonical(protection_spec))
         if key in self._sessions:
             self.stats["reused"] += 1
             self._sessions.move_to_end(key)
             return self._sessions[key]
-        session = ProtectionSession(config)
+        session = ProtectionSession(_solve_config(protection_from_spec(protection_spec)))
         self._sessions[key] = session
         self.stats["created"] += 1
         while len(self._sessions) > self.max_entries:
@@ -118,8 +117,5 @@ class SessionPool:
 
     def drop(self, matrix_spec: dict, protection_spec) -> None:
         """Forget a session whose window died with an integrity error."""
-        config = protection_from_spec(protection_spec)
-        if config is None:
-            return
         key = (matrix_key(matrix_spec), protection_canonical(protection_spec))
         self._sessions.pop(key, None)

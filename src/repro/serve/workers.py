@@ -67,7 +67,7 @@ def _probe(job_id: str) -> None:
 
 
 def _recovery_delta(session, before: dict | None) -> dict:
-    if session is None or session.recovery is None:
+    if session.recovery is None:
         return {}
     after = dataclasses.asdict(session.recovery.stats)
     if before is None:
@@ -76,7 +76,7 @@ def _recovery_delta(session, before: dict | None) -> dict:
 
 
 def _recovery_snapshot(session) -> dict | None:
-    if session is None or session.recovery is None:
+    if session.recovery is None:
         return None
     return dataclasses.asdict(session.recovery.stats)
 
@@ -106,7 +106,7 @@ def _result_record(job: dict, result, duration_s: float, session,
     return record
 
 
-def _solve_group(group: list[dict], session, matrix_arg, config) -> list[dict]:
+def _solve_group(group: list[dict], session, matrix_arg) -> list[dict]:
     """Serve a group of compatible jobs as one blocked multi-RHS solve.
 
     The group shares the batch's matrix and protection by construction;
@@ -135,7 +135,7 @@ def _solve_group(group: list[dict], session, matrix_arg, config) -> list[dict]:
     before = _recovery_snapshot(session)
     result = repro.solve(
         matrix_arg, B, X0, method="cg", eps=eps, max_iters=max_iters,
-        protection=session if session is not None else config,
+        protection=session,
     )
     duration = time.perf_counter() - t0
     records = []
@@ -166,7 +166,7 @@ def _blockable(job: dict, dist_shards: int, dist_threshold: int) -> bool:
     return not _routes_distributed(job, dist_shards, dist_threshold)
 
 
-def _solve_one(job: dict, session, matrix_arg, config) -> dict:
+def _solve_one(job: dict, session, matrix_arg) -> dict:
     """Run one job's solve and shape its result record."""
     import repro
 
@@ -176,8 +176,7 @@ def _solve_one(job: dict, session, matrix_arg, config) -> dict:
     before = _recovery_snapshot(session)
     result = repro.solve(
         matrix_arg, b, x0, method=job["method"],
-        eps=job["eps"], max_iters=job["max_iters"],
-        protection=session if session is not None else config,
+        eps=job["eps"], max_iters=job["max_iters"], protection=session,
     )
     duration = time.perf_counter() - t0
     _probe(job["job_id"])
@@ -333,20 +332,23 @@ def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
     records_by_id: dict[str, dict] = {}
     config = protection_from_spec(protection)
     matrix_spec = jobs[0]["matrix"]
-    session = None
+    session = SESSIONS.get(matrix_spec, protection)
     blocked_jobs = 0
 
-    def _acquire():
-        """(Re-)acquire the warm session and matrix handle lazily.
+    def _matrix():
+        """The warm matrix handle: encoded when the config protects it."""
+        pmat = CACHE.encoded(matrix_spec, protection)
+        return pmat if pmat is not None else CACHE.raw(matrix_spec)
 
-        A DUE in an earlier job dropped the session and the encoded
-        matrix, so this re-warms from the pristine raw build.
+    def _rewarm():
+        """Drop the warm state a DUE poisoned; return a fresh session.
+
+        The encoded matrix may retain the detected corruption, so later
+        jobs re-encode from the pristine raw build.
         """
-        if config is not None and config.enabled:
-            warm = SESSIONS.get(matrix_spec, protection)
-            pmat = CACHE.encoded(matrix_spec, protection)
-            return warm, (pmat if pmat is not None else CACHE.raw(matrix_spec))
-        return None, CACHE.raw(matrix_spec)
+        SESSIONS.drop(matrix_spec, protection)
+        CACHE.invalidate(matrix_spec, protection)
+        return SESSIONS.get(matrix_spec, protection)
 
     group: list[dict] = []
     rest: list[dict] = jobs
@@ -359,16 +361,13 @@ def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
             group = []
     if group:
         try:
-            session, matrix_arg = _acquire()
-            for record in _solve_group(group, session, matrix_arg, config):
+            for record in _solve_group(group, session, _matrix()):
                 records_by_id[record["job_id"]] = record
             blocked_jobs = len(group)
         except _INTEGRITY_ERRORS:
             # Can't attribute a block-wide DUE to one job: drop the warm
             # state and retry the group job-by-job below.
-            SESSIONS.drop(matrix_spec, protection)
-            CACHE.invalidate(matrix_spec, protection)
-            session = None
+            session = _rewarm()
             rest = jobs
         except Exception:
             rest = jobs
@@ -384,13 +383,9 @@ def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
                 records_by_id[job["job_id"]] = _solve_distributed(
                     job, config, dist_shards)
                 continue
-            session, matrix_arg = _acquire()
-            records_by_id[job["job_id"]] = _solve_one(
-                job, session, matrix_arg, config)
+            records_by_id[job["job_id"]] = _solve_one(job, session, _matrix())
         except _INTEGRITY_ERRORS as exc:
-            SESSIONS.drop(matrix_spec, protection)
-            CACHE.invalidate(matrix_spec, protection)
-            session = None
+            session = _rewarm()
             records_by_id[job["job_id"]] = {
                 "job_id": job["job_id"], "status": "failed",
                 "method": job["method"], "converged": False,
@@ -404,9 +399,8 @@ def run_batch(*, jobs: list[dict], protection=None, throttle: float = 0.0,
                 "error": f"{type(exc).__name__}: {exc}",
                 "events": [],
             }
-    if session is not None:
-        # One mandatory sweep closes the whole batch's deferral window.
-        session.end_step()
+    # One mandatory sweep closes the whole batch's deferral window.
+    session.end_step()
     return {
         "jobs": [records_by_id[job["job_id"]] for job in jobs],
         "batch_size": len(jobs),

@@ -21,7 +21,7 @@ from repro.solvers.chebyshev import (
 )
 from repro.solvers.ppcg import ppcg_solve, protected_ppcg_run
 from repro.solvers.preconditioner import JacobiPreconditioner
-from repro.solvers.toolkit import ProtectedIteration, resolve_schedule
+from repro.solvers.toolkit import ProtectedIteration
 from repro.solvers.registry import (
     SolverMethod,
     available_methods,
@@ -47,7 +47,6 @@ __all__ = [
     "protected_ppcg_run",
     "JacobiPreconditioner",
     "ProtectedIteration",
-    "resolve_schedule",
     "SolverMethod",
     "available_methods",
     "get_method",

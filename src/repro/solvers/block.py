@@ -135,7 +135,6 @@ def protected_block_cg_run(
     *,
     eps: float = 1e-15,
     max_iters: int = 10_000,
-    policy=None,
     vector_scheme: str | None = "secded64",
     engine=None,
     session=None,
@@ -160,8 +159,7 @@ def protected_block_cg_run(
     eps_c = _per_column(eps, k, "eps")
     mi_c = _per_column(max_iters, k, "max_iters").astype(np.int64)
     ctx = ProtectedIteration(
-        matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
-        session=session,
+        matrix, engine=engine, vector_scheme=vector_scheme, session=session,
     )
     n = ctx.n
     X = ctx.wrap(_block_x0(X0, k, n), "x")
@@ -176,82 +174,79 @@ def protected_block_cg_run(
     iters = np.zeros(k, dtype=np.int64)
     step = 0
     ctx.maybe_checkpoint(step, iters=[int(v) for v in iters])
-    while True:
-        try:
-            while True:
-                active = ~converged & ~broken & (iters < mi_c)
-                if not active.any():
-                    break
-                ctx.begin_iteration()
-                idx = np.flatnonzero(active)
-                P_val = ctx.read(P)
-                W = ctx.spmv(P_val, out=ctx.spmv_out((k,)))
-                pw = np.zeros(k)
-                for j in idx:
-                    pw[j] = float(np.dot(P_val[j], W[j]))
-                dead = idx[pw[idx] == 0.0]
-                if dead.size:
-                    broken[dead] = True
-                    idx = idx[pw[idx] != 0.0]
-                if idx.size == 0:
-                    continue
-                alpha = rr[idx] / pw[idx]
-                Xv = ctx.read(X)
-                Rv = ctx.read(R)
-                if idx.size == k:
-                    X_new = Xv + alpha[:, None] * P_val
-                    R_new = Rv - alpha[:, None] * W
-                else:
-                    # Frozen columns are copied verbatim — never scaled
-                    # by a zero step, which would rewrite -0.0 as +0.0.
-                    X_new = np.array(Xv)
-                    X_new[idx] = Xv[idx] + alpha[:, None] * P_val[idx]
-                    R_new = np.array(Rv)
-                    R_new[idx] = Rv[idx] - alpha[:, None] * W[idx]
-                X = ctx.write(X, X_new)
-                R = ctx.write(R, R_new)
-                step += 1
-                cont = []
-                rr_new = np.zeros(k)
-                for j in idx:
-                    rr_new[j] = float(np.dot(R_new[j], R_new[j]))
-                    norms[j].append(float(np.sqrt(rr_new[j])))
-                    iters[j] += 1
-                    if rr_new[j] < eps_c[j]:
-                        converged[j] = True
-                    else:
-                        cont.append(int(j))
-                if cont:
-                    cidx = np.asarray(cont)
-                    beta = rr_new[cidx] / rr[cidx]
-                    if cidx.size == k:
-                        P_new = R_new + beta[:, None] * P_val
-                    else:
-                        P_new = np.array(P_val)
-                        P_new[cidx] = R_new[cidx] + beta[:, None] * P_val[cidx]
-                    P = ctx.write(P, P_new)
-                    rr[cidx] = rr_new[cidx]
-                ctx.maybe_checkpoint(step, iters=[int(v) for v in iters])
 
-            X_final = ctx.value_of(X)
-            ctx.finish()
-            break
-        except ctx.RECOVERABLE as exc:
-            saved = ctx.recover(exc)  # repairs state; raises if recovery is off
-            if saved is not None:
-                step = int(saved["it"])
-                iters = np.asarray(saved.get("iters", iters), dtype=np.int64)
-            # Restart the recurrence for every column from the
-            # authoritative iterate block, exactly as the single-RHS
-            # runner restarts from x.
-            R_val = Bt - ctx.spmv(ctx.read(X))
-            R = ctx.write(R, R_val)
-            P = ctx.write(P, R_val)
-            broken[:] = False
-            for j in range(k):
-                rr[j] = float(np.dot(R_val[j], R_val[j]))
-                norms[j].append(float(np.sqrt(rr[j])))
-            converged = rr < eps_c
+    def loop():
+        nonlocal X, R, P, step
+        while (active := ~converged & ~broken & (iters < mi_c)).any():
+            ctx.begin_iteration()
+            idx = np.flatnonzero(active)
+            P_val = ctx.read(P)
+            W = ctx.spmv(P_val, out=ctx.spmv_out((k,)))
+            pw = np.zeros(k)
+            for j in idx:
+                pw[j] = float(np.dot(P_val[j], W[j]))
+            dead = idx[pw[idx] == 0.0]
+            if dead.size:
+                broken[dead] = True
+                idx = idx[pw[idx] != 0.0]
+            if idx.size == 0:
+                continue
+            alpha = rr[idx] / pw[idx]
+            Xv = ctx.read(X)
+            Rv = ctx.read(R)
+            if idx.size == k:
+                X_new = Xv + alpha[:, None] * P_val
+                R_new = Rv - alpha[:, None] * W
+            else:
+                # Frozen columns are copied verbatim — never scaled by a
+                # zero step, which would rewrite -0.0 as +0.0.
+                X_new = np.array(Xv)
+                X_new[idx] = Xv[idx] + alpha[:, None] * P_val[idx]
+                R_new = np.array(Rv)
+                R_new[idx] = Rv[idx] - alpha[:, None] * W[idx]
+            X = ctx.write(X, X_new)
+            R = ctx.write(R, R_new)
+            step += 1
+            cont = []
+            rr_new = np.zeros(k)
+            for j in idx:
+                rr_new[j] = float(np.dot(R_new[j], R_new[j]))
+                norms[j].append(float(np.sqrt(rr_new[j])))
+                iters[j] += 1
+                if rr_new[j] < eps_c[j]:
+                    converged[j] = True
+                else:
+                    cont.append(int(j))
+            if cont:
+                cidx = np.asarray(cont)
+                beta = rr_new[cidx] / rr[cidx]
+                if cidx.size == k:
+                    P_new = R_new + beta[:, None] * P_val
+                else:
+                    P_new = np.array(P_val)
+                    P_new[cidx] = R_new[cidx] + beta[:, None] * P_val[cidx]
+                P = ctx.write(P, P_new)
+                rr[cidx] = rr_new[cidx]
+            ctx.maybe_checkpoint(step, iters=[int(v) for v in iters])
+        return X
+
+    def restart(saved):
+        # Every column restarts from the authoritative iterate block,
+        # exactly as the single-RHS runner restarts from x.
+        nonlocal R, P, step
+        if saved is not None:
+            step = int(saved["it"])
+            iters[:] = saved.get("iters", iters)
+        R_val = Bt - ctx.spmv(ctx.read(X))
+        R = ctx.write(R, R_val)
+        P = ctx.write(P, R_val)
+        broken[:] = False
+        for j in range(k):
+            rr[j] = float(np.dot(R_val[j], R_val[j]))
+            norms[j].append(float(np.sqrt(rr[j])))
+        converged[:] = rr < eps_c
+
+    X_final = ctx.run(loop, restart)
     return BlockResult(
         x=np.ascontiguousarray(X_final.T),
         iterations=iters,

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.protect.policy import CheckPolicy
 from repro.solvers.base import SolverResult, as_operator
 from repro.solvers.toolkit import ProtectedIteration
 
@@ -121,49 +120,47 @@ def _cg_recurrence(
     converged = rr < eps
     it = 0
     ctx.maybe_checkpoint(it)
-    while True:
-        try:
-            while not converged and it < max_iters:
-                ctx.begin_iteration()
-                p_val = ctx.read(p)
-                w = ctx.spmv(p_val, out=ctx.spmv_out())
-                pw = float(np.dot(p_val, w))
-                if pw == 0.0:
-                    break
-                alpha = rz / pw
-                x = ctx.write(x, ctx.read(x) + alpha * p_val)
-                r_val = ctx.read(r) - alpha * w
-                r = ctx.write(r, r_val)
-                rr = float(np.dot(r_val, r_val))
-                norms.append(float(np.sqrt(rr)))
-                it += 1
-                if rr < eps:
-                    converged = True
-                    break
-                z, rz_new = direction(r_val, rr)
-                p = ctx.write(p, z + (rz_new / rz) * p_val)
-                rz = rz_new
-                ctx.maybe_checkpoint(it)
 
-            # Mandatory end-of-step sweep when checks were deferred
-            # (§VI.A.2); a session defers it to its own end_step().
-            x_final = ctx.value_of(x)
-            ctx.finish()
-            break
-        except ctx.RECOVERABLE as exc:
-            saved = ctx.recover(exc)  # repairs state; raises if recovery is off
-            if saved is not None:
-                it = int(saved["it"])
-            # Restart the recurrence from the authoritative iterate: the
-            # rolled-back / repaired x defines the true residual, so any
-            # recurrence drift the corruption caused is discarded.
-            r_val = b - ctx.spmv(ctx.read(x))
-            rr = float(np.dot(r_val, r_val))
-            z, rz = direction(r_val, rr)
+    def loop():
+        nonlocal x, r, p, rz, it, converged
+        while not converged and it < max_iters:
+            ctx.begin_iteration()
+            p_val = ctx.read(p)
+            w = ctx.spmv(p_val, out=ctx.spmv_out())
+            pw = float(np.dot(p_val, w))
+            if pw == 0.0:
+                break
+            alpha = rz / pw
+            x = ctx.write(x, ctx.read(x) + alpha * p_val)
+            r_val = ctx.read(r) - alpha * w
             r = ctx.write(r, r_val)
-            p = ctx.write(p, z)
+            rr = float(np.dot(r_val, r_val))
             norms.append(float(np.sqrt(rr)))
-            converged = rr < eps
+            it += 1
+            if rr < eps:
+                converged = True
+                break
+            z, rz_new = direction(r_val, rr)
+            p = ctx.write(p, z + (rz_new / rz) * p_val)
+            rz = rz_new
+            ctx.maybe_checkpoint(it)
+        return x
+
+    def restart(saved):
+        # The rolled-back / repaired x defines the true residual, so any
+        # recurrence drift the corruption caused is discarded.
+        nonlocal r, p, rz, it, converged
+        if saved is not None:
+            it = int(saved["it"])
+        r_val = b - ctx.spmv(ctx.read(x))
+        rr = float(np.dot(r_val, r_val))
+        z, rz = direction(r_val, rr)
+        r = ctx.write(r, r_val)
+        p = ctx.write(p, z)
+        norms.append(float(np.sqrt(rr)))
+        converged = rr < eps
+
+    x_final = ctx.run(loop, restart)
     return SolverResult(
         x=x_final, iterations=it, converged=converged,
         residual_norms=norms, info=ctx.info(**info),
@@ -178,7 +175,6 @@ def protected_cg_run(
     eps: float = 1e-15,
     max_iters: int = 10_000,
     preconditioner=None,
-    policy: CheckPolicy | None = None,
     vector_scheme: str | None = "secded64",
     engine: DeferredVerificationEngine | None = None,
     session=None,
@@ -191,20 +187,15 @@ def protected_cg_run(
         Anything with ``.apply(r)`` (e.g. a
         :class:`~repro.solvers.preconditioner.JacobiPreconditioner`), run
         as opaque — see the module docstring.  ``None`` is plain CG.
-    policy:
-        Per-region check schedule; defaults to a full check before every
-        SpMV and a vector check every iteration.  ``interval > 1`` (and
-        ``vector_interval > 1``) amortises the checks across iterations
-        via the deferred-verification engine.
     vector_scheme:
         Scheme for the solver's dense vectors, or ``None`` to leave the
         vectors unprotected (the Fig. 4-8 configurations protect only the
         matrix; Fig. 9 adds the vectors).
     engine:
-        Supply a pre-built :class:`DeferredVerificationEngine` (e.g. to
-        share a schedule across solves); its policy then drives the
-        whole solve, so ``policy`` must be left ``None`` or be the same
-        object.
+        The :class:`DeferredVerificationEngine` whose policy schedules
+        the solve's checks; defaults to a full check before every SpMV
+        and a vector check every iteration.  ``interval > 1`` (and
+        ``vector_interval > 1``) amortises the checks across iterations.
     session:
         The owning :class:`~repro.protect.session.ProtectionSession`,
         when the mandatory end-of-step sweep is scheduled by the caller
@@ -216,7 +207,6 @@ def protected_cg_run(
     the schedule.
     """
     ctx = ProtectedIteration(
-        matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
-        session=session,
+        matrix, engine=engine, vector_scheme=vector_scheme, session=session,
     )
     return _cg_recurrence(ctx, b, x0, preconditioner, eps=eps, max_iters=max_iters)

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.protect.policy import CheckPolicy
 from repro.solvers.base import SolverResult, as_operator
 from repro.solvers.toolkit import ProtectedIteration
 
@@ -126,7 +125,6 @@ def protected_chebyshev_run(
     eig_max: float | None = None,
     eps: float = 1e-15,
     max_iters: int = 10_000,
-    policy: CheckPolicy | None = None,
     vector_scheme: str | None = "secded64",
     engine: DeferredVerificationEngine | None = None,
     session=None,
@@ -137,8 +135,7 @@ def protected_chebyshev_run(
     the decoded (just-verified) matrix, as TeaLeaf bootstraps them.
     """
     ctx = ProtectedIteration(
-        matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
-        session=session,
+        matrix, engine=engine, vector_scheme=vector_scheme, session=session,
     )
     if eig_min is None or eig_max is None:
         eig_min, eig_max = estimate_eigenvalue_bounds(ctx.verified_operator())
@@ -155,39 +152,40 @@ def protected_chebyshev_run(
     d = ctx.wrap(r_val / theta, "d")
     it = 0
     ctx.maybe_checkpoint(it)
-    while True:
-        try:
-            while not converged and it < max_iters:
-                ctx.begin_iteration()
-                x_val = ctx.read(x) + ctx.read(d)
-                x = ctx.write(x, x_val)
-                r_val = b - ctx.spmv(x_val)
-                norms.append(float(np.linalg.norm(r_val)))
-                it += 1
-                if norms[-1] ** 2 < eps:
-                    converged = True
-                    break
-                rho_new = 1.0 / (2.0 * sigma - rho)
-                d = ctx.write(
-                    d, rho_new * rho * ctx.read(d) + (2.0 * rho_new / delta) * r_val
-                )
-                rho = rho_new
-                ctx.maybe_checkpoint(it)
 
-            x_final = ctx.value_of(x)
-            ctx.finish()
-            break
-        except ctx.RECOVERABLE as exc:
-            saved = ctx.recover(exc)
-            if saved is not None:
-                it = int(saved["it"])
-            # Restart the semi-iteration from the repaired / rolled-back
-            # iterate: true residual, polynomial recurrence re-seeded.
-            r_val = b - ctx.spmv(ctx.read(x))
+    def loop():
+        nonlocal x, d, rho, it, converged
+        while not converged and it < max_iters:
+            ctx.begin_iteration()
+            x_val = ctx.read(x) + ctx.read(d)
+            x = ctx.write(x, x_val)
+            r_val = b - ctx.spmv(x_val)
             norms.append(float(np.linalg.norm(r_val)))
-            converged = norms[-1] ** 2 < eps
-            rho = 1.0 / sigma
-            d = ctx.write(d, r_val / theta)
+            it += 1
+            if norms[-1] ** 2 < eps:
+                converged = True
+                break
+            rho_new = 1.0 / (2.0 * sigma - rho)
+            d = ctx.write(
+                d, rho_new * rho * ctx.read(d) + (2.0 * rho_new / delta) * r_val
+            )
+            rho = rho_new
+            ctx.maybe_checkpoint(it)
+        return x
+
+    def restart(saved):
+        # Restart the semi-iteration from the repaired / rolled-back
+        # iterate: true residual, polynomial recurrence re-seeded.
+        nonlocal d, rho, it, converged
+        if saved is not None:
+            it = int(saved["it"])
+        r_val = b - ctx.spmv(ctx.read(x))
+        norms.append(float(np.linalg.norm(r_val)))
+        converged = norms[-1] ** 2 < eps
+        rho = 1.0 / sigma
+        d = ctx.write(d, r_val / theta)
+
+    x_final = ctx.run(loop, restart)
     return SolverResult(
         x=x_final, iterations=it, converged=converged, residual_norms=norms,
         info=ctx.info(eig_min=eig_min, eig_max=eig_max),

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.protect.policy import CheckPolicy
 from repro.solvers.base import SolverResult, as_operator
 from repro.solvers.toolkit import ProtectedIteration
 
@@ -63,7 +62,6 @@ def protected_jacobi_run(
     eps: float = 1e-15,
     max_iters: int = 10_000,
     check_every: int = 10,
-    policy: CheckPolicy | None = None,
     vector_scheme: str | None = "secded64",
     engine: DeferredVerificationEngine | None = None,
     session=None,
@@ -76,8 +74,7 @@ def protected_jacobi_run(
     ``vector_scheme`` and every SpMV counted against the matrix schedule.
     """
     ctx = ProtectedIteration(
-        matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
-        session=session,
+        matrix, engine=engine, vector_scheme=vector_scheme, session=session,
     )
     # The whole solve iterates against this one decoded diagonal, so it
     # is read from verified storage (a fused schedule defers the sweep).
@@ -89,34 +86,35 @@ def protected_jacobi_run(
     converged = norms[0] ** 2 < eps
     it = 0
     ctx.maybe_checkpoint(it)
-    while True:
-        try:
-            while not converged and it < max_iters:
-                ctx.begin_iteration()
-                x_val = ctx.read(x) + d_inv * ctx.read(r)
-                x = ctx.write(x, x_val)
-                it += 1
-                r_val = b - ctx.spmv(x_val)
-                r = ctx.write(r, r_val)
-                if it % check_every == 0 or it == max_iters:
-                    norms.append(float(np.linalg.norm(r_val)))
-                    if norms[-1] ** 2 < eps:
-                        converged = True
-                ctx.maybe_checkpoint(it)
 
-            x_final = ctx.value_of(x)
-            ctx.finish()
-            break
-        except ctx.RECOVERABLE as exc:
-            saved = ctx.recover(exc)
-            if saved is not None:
-                it = int(saved["it"])
-            # Jacobi is memoryless: the true residual of the repaired /
-            # rolled-back x is the whole restart.
-            r_val = b - ctx.spmv(ctx.read(x))
+    def loop():
+        nonlocal x, r, it, converged
+        while not converged and it < max_iters:
+            ctx.begin_iteration()
+            x_val = ctx.read(x) + d_inv * ctx.read(r)
+            x = ctx.write(x, x_val)
+            it += 1
+            r_val = b - ctx.spmv(x_val)
             r = ctx.write(r, r_val)
-            norms.append(float(np.linalg.norm(r_val)))
-            converged = norms[-1] ** 2 < eps
+            if it % check_every == 0 or it == max_iters:
+                norms.append(float(np.linalg.norm(r_val)))
+                if norms[-1] ** 2 < eps:
+                    converged = True
+            ctx.maybe_checkpoint(it)
+        return x
+
+    def restart(saved):
+        # Jacobi is memoryless: the true residual of the repaired /
+        # rolled-back x is the whole restart.
+        nonlocal r, it, converged
+        if saved is not None:
+            it = int(saved["it"])
+        r_val = b - ctx.spmv(ctx.read(x))
+        r = ctx.write(r, r_val)
+        norms.append(float(np.linalg.norm(r_val)))
+        converged = norms[-1] ** 2 < eps
+
+    x_final = ctx.run(loop, restart)
     return SolverResult(
         x=x_final, iterations=it, converged=converged,
         residual_norms=norms, info=ctx.info(),

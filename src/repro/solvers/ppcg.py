@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.protect.policy import CheckPolicy
 from repro.solvers.base import SolverResult, as_operator
 from repro.solvers.cg import _cg_recurrence, cg_solve
 from repro.solvers.chebyshev import estimate_eigenvalue_bounds
@@ -79,7 +78,6 @@ def protected_ppcg_run(
     max_iters: int = 10_000,
     inner_steps: int = 4,
     eig_bounds: tuple[float, float] | None = None,
-    policy: CheckPolicy | None = None,
     vector_scheme: str | None = "secded64",
     engine: DeferredVerificationEngine | None = None,
     session=None,
@@ -90,8 +88,7 @@ def protected_ppcg_run(
     storage, as TeaLeaf bootstraps them.
     """
     ctx = ProtectedIteration(
-        matrix, policy=policy, engine=engine, vector_scheme=vector_scheme,
-        session=session,
+        matrix, engine=engine, vector_scheme=vector_scheme, session=session,
     )
     if eig_bounds is None:
         eig_bounds = estimate_eigenvalue_bounds(ctx.verified_operator())

@@ -14,23 +14,24 @@ There is one routing rule: **on CSR storage every method runs its one
 engine-threaded body** (``SolverMethod.protected``), whatever
 ``protection`` is —
 
-* ``None`` (or a disabled config or session) — the unprotected
-  baseline is that body under the null codec
-  (:meth:`ProtectionConfig.off`), bitwise equal to the method's textbook
-  function;
+* ``None`` (or a disabled config) — the unprotected baseline is that
+  body under the null codec (:meth:`ProtectionConfig.off`), bitwise
+  equal to the method's textbook function;
 * a :class:`~repro.protect.config.ProtectionConfig` — the matrix is
   wrapped per the config and a fresh deferred-verification engine runs
   the solve;
 * a :class:`~repro.protect.session.ProtectionSession` — the session's
   long-lived engine runs the solve and keeps its dirty windows open
-  across the solve boundary (the cross-time-step mode).
+  across the solve boundary (the cross-time-step mode).  A session over
+  a disabled config owns an ``off()`` engine, so it is the baseline
+  too.
 
 The textbook ``*_solve`` function (``SolverMethod.plain``) is what the
 bitwise tests compare against, and what runs for an operator that is
 not CSR storage (nothing to wrap, so unprotected only).
 
 Runner signatures are uniform: ``plain(A, b, x0, *, eps, max_iters,
-**kw)`` and ``protected(pmat, b, x0, *, eps, max_iters, policy=None,
+**kw)`` and ``protected(pmat, b, x0, *, eps, max_iters,
 vector_scheme=..., engine=None, session=None, **kw)``; method-specific
 extras (``preconditioner``, ``inner_steps``, ``eig_min``...) pass
 through ``**kw`` to either.
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro.csr.matrix import CSRMatrix
 from repro.errors import ConfigurationError
-from repro.protect.config import ProtectionConfig
+from repro.protect.config import ProtectionConfig, _solve_config, _wrap_for_solve
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.session import ProtectionSession
 from repro.solvers.base import SolverResult
@@ -187,10 +188,10 @@ def solve(
             A, b, x0, n_shards=int(distributed), method=method,
             protection=protection, eps=eps, max_iters=max_iters, **kwargs,
         )
-    session = protection if isinstance(protection, ProtectionSession) else None
-    config = session.config if session is not None else protection
-    if config is None or not config.enabled:
-        session, config = None, ProtectionConfig.off()
+    if isinstance(protection, ProtectionSession):
+        session, config = protection, protection.config
+    else:
+        session, config = None, _solve_config(protection)
     on_csr = isinstance(A, (CSRMatrix, ProtectedCSRMatrix))
     if config.enabled and not on_csr:
         raise ConfigurationError(
@@ -207,13 +208,7 @@ def solve(
     if session is not None:
         return session.run(runner, A, b, x0, eps=eps, max_iters=max_iters,
                            **kwargs)
-    if config.enabled or isinstance(A, ProtectedCSRMatrix):
-        pmat = config.wrap_matrix(A)
-    else:
-        # Nothing writes through this solve-local wrap (no injection, no
-        # re-encode), so the null codec may share the caller's arrays.
-        pmat = ProtectedCSRMatrix._alias(A)
     return runner(
-        pmat, b, x0, eps=eps, max_iters=max_iters,
+        _wrap_for_solve(config, A), b, x0, eps=eps, max_iters=max_iters,
         engine=config.engine(), vector_scheme=config.vector_scheme, **kwargs,
     )

@@ -4,38 +4,46 @@ Every protected solver used to carry its own copy of the same three
 closures — ``wrap`` (put a state vector under ECC and register it),
 ``read`` (decode-free cached view through the engine) and ``write``
 (dirty-window buffered commit) — plus the same schedule-resolution,
-finalize and counter-reporting boilerplate.  :class:`ProtectedIteration`
-is that plumbing extracted once, so a protected solver body reads like
-its textbook counterpart:
+finalize, recovery and counter-reporting boilerplate.
+:class:`ProtectedIteration` is that plumbing extracted once, so a
+protected solver body reads like its textbook counterpart:
 
-    ctx = ProtectedIteration(matrix, policy=..., vector_scheme=...)
+    ctx = ProtectedIteration(matrix, engine=..., vector_scheme=...)
     x = ctx.wrap(x0, "x")
-    w = ctx.spmv(ctx.read(p))
-    x = ctx.write(x, ctx.read(x) + alpha * p_val)
-    ctx.finish()
-    return SolverResult(x=ctx.value_of(x), ..., info=ctx.info())
+    ...
+    def loop():                 # the recurrence, to convergence
+        nonlocal x, it
+        while it < max_iters:
+            ctx.begin_iteration()
+            w = ctx.spmv(ctx.read(p))
+            x = ctx.write(x, ctx.read(x) + alpha * p_val)
+            ...
+            ctx.maybe_checkpoint(it)
+        return x
+
+    def restart(saved):         # after a recovered DUE
+        nonlocal it
+        if saved is not None:
+            it = int(saved["it"])
+        ...re-derive the recurrence from ctx.read(x)...
+
+    x_final = ctx.run(loop, restart)
+    return SolverResult(x=x_final, ..., info=ctx.info())
 
 When a :class:`~repro.protect.session.ProtectionSession` owns the engine,
 the context registers its transient state with the session instead of
 finalizing/unregistering itself, so dirty windows and check phases span
 solve (and TeaLeaf time-step) boundaries until ``session.end_step()``.
 
-The context is also where solvers become *restartable*: with an
-escalating :class:`~repro.recover.policy.RecoveryPolicy` attached to the
-engine, :meth:`ProtectedIteration.maybe_checkpoint` snapshots the live
-state vectors on the policy's cadence and
-:meth:`ProtectedIteration.recover` turns a caught DUE into either a
-rollback (state restored from the checkpoint) or an in-place repopulate
-(damaged containers rebuilt from pristine sources), after which the
-solver restarts its recurrence from the authoritative iterate:
-
-    while True:
-        try:
-            ...iterate to convergence..., ctx.finish()
-            break
-        except ctx.RECOVERABLE as exc:
-            saved = ctx.recover(exc)      # raises when recovery is off
-            ...re-derive the recurrence from ctx.read(x)...
+The context is also where solvers become *restartable*, in one place:
+:meth:`ProtectedIteration.run`.  With an escalating
+:class:`~repro.recover.policy.RecoveryPolicy` attached to the engine,
+:meth:`ProtectedIteration.maybe_checkpoint` snapshots the live state
+vectors on the policy's cadence and a DUE caught by ``run`` becomes
+either a rollback (state restored from the checkpoint) or an in-place
+repopulate (damaged containers rebuilt from pristine sources), after
+which the body's ``restart`` re-seeds its recurrence from the
+authoritative iterate.  Without recovery the DUE propagates.
 """
 
 from __future__ import annotations
@@ -48,39 +56,9 @@ from repro.errors import BoundsViolationError, ConfigurationError
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.kernels import verify_matrix
 from repro.protect.matrix import ProtectedCSRMatrix
-from repro.protect.policy import CheckPolicy
 from repro.protect.vector import ProtectedBlockVector, ProtectedVector
 from repro.recover.policy import RECOVERABLE_ERRORS
 from repro.solvers.base import LinearOperator
-
-
-def resolve_schedule(
-    policy: CheckPolicy | None,
-    engine: DeferredVerificationEngine | None,
-    *,
-    reset: bool = True,
-) -> tuple[CheckPolicy, DeferredVerificationEngine]:
-    """One policy object drives everything: scheduling, stats, sweeps.
-
-    A caller-supplied engine brings its own policy; accepting a second,
-    different policy alongside it would split the counters between two
-    objects, so that is rejected outright.  ``reset=False`` keeps the
-    schedule phase running across solves (session mode).
-    """
-    if engine is not None:
-        if policy is not None and policy is not engine.policy:
-            raise ConfigurationError(
-                "pass either a policy or an engine (whose policy is used), "
-                "not two different schedules"
-            )
-        policy = engine.policy
-    else:
-        if policy is None:
-            policy = CheckPolicy(interval=1, correct=True)
-        engine = DeferredVerificationEngine(policy)
-    if reset:
-        policy.reset()
-    return policy, engine
 
 
 class ProtectedIteration:
@@ -92,9 +70,10 @@ class ProtectedIteration:
         The :class:`ProtectedCSRMatrix` being solved against; registered
         with the engine and force-verified up front (when matrix checks
         are enabled) so nothing downstream consumes unverified storage.
-    policy / engine:
-        The schedule, resolved exactly as the solvers always did: at most
-        one of the two, engine's policy winning.
+    engine:
+        The schedule: its policy drives checks and counts them.  Defaults
+        to the session's engine, or else a fresh engine checking on every
+        access.  Outside a session the policy's phase restarts here.
     vector_scheme:
         Scheme for the solver's dense state vectors, or ``None`` to run
         them unprotected (matrix-only configurations).
@@ -104,15 +83,10 @@ class ProtectedIteration:
         regions to the session for release at the next ``end_step()``.
     """
 
-    #: The integrity errors :meth:`recover` can handle — what a solver's
-    #: recovery handler should catch.
-    RECOVERABLE = RECOVERABLE_ERRORS
-
     def __init__(
         self,
         matrix: ProtectedCSRMatrix,
         *,
-        policy: CheckPolicy | None = None,
         engine: DeferredVerificationEngine | None = None,
         vector_scheme: str | None = "secded64",
         session=None,
@@ -121,20 +95,16 @@ class ProtectedIteration:
             # Session mode defers the mandatory sweep to session.end_step(),
             # which finalizes *the session's* engine — running this solve on
             # any other engine would silently skip that sweep.
-            if session.engine is None:
-                raise ConfigurationError(
-                    "session has protection disabled and so no engine to run "
-                    "on; go through session.solve / repro.solve, which run "
-                    "the solve under ProtectionConfig.off() instead"
-                )
-            if engine is None:
-                engine = session.engine
-            elif engine is not session.engine:
+            engine = engine or session.engine
+            if engine is not session.engine:
                 raise ConfigurationError(
                     "session and engine disagree; pass the session's engine "
                     "or let it be derived from the session"
                 )
-        self.policy, self.engine = resolve_schedule(policy, engine, reset=session is None)
+        self.engine = engine or DeferredVerificationEngine()
+        self.policy = self.engine.policy
+        if session is None:
+            self.policy.reset()
         self.matrix = matrix
         self.vector_scheme = vector_scheme
         self.protect_vectors = vector_scheme is not None
@@ -311,6 +281,27 @@ class ProtectedIteration:
             self.engine.unregister(vec)
 
     # -- DUE recovery ---------------------------------------------------
+    def run(self, loop, restart) -> np.ndarray:
+        """Drive a solver body to its final iterate: the one recovery site.
+
+        ``loop()`` iterates the body's recurrence to convergence (or its
+        iteration budget) and returns the iterate's container; ``run``
+        then reads the final values and calls :meth:`finish`, whose
+        mandatory sweep (§VI.A.2) may itself detect damage.  An integrity
+        error anywhere in that goes to :meth:`recover` — which re-raises
+        unless the recovery policy repairs the state — and the restored
+        checkpoint scalars (or ``None`` after an in-place repopulate) go
+        to ``restart(saved)``, which re-seeds the recurrence from the
+        authoritative iterate before ``loop()`` resumes.
+        """
+        while True:
+            try:
+                x_final = self.value_of(loop())
+                self.finish()
+                return x_final
+            except RECOVERABLE_ERRORS as exc:
+                restart(self.recover(exc))
+
     def maybe_checkpoint(self, it: int, **scalars) -> None:
         """Snapshot the live state for rollback, on the policy's cadence.
 
@@ -335,7 +326,10 @@ class ProtectedIteration:
     def recover(self, exc: BaseException) -> dict | None:
         """Handle a caught integrity error per the recovery policy.
 
-        Returns the checkpoint's scalar dict (``{"it": ..., ...}``) when
+        Called by :meth:`run`, and by callers that own the restart
+        themselves (a dist shard, whose coordinator restarts the
+        recurrence).  Returns the checkpoint's scalar dict
+        (``{"it": ..., ...}``) when
         state was rolled back — the solver resets its counters from it —
         or ``None`` when the damaged containers were repopulated in
         place and the solver should restart its recurrence from the

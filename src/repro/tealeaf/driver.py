@@ -7,13 +7,14 @@ step (TeaLeaf reassembles when the conductivity field changes; for the
 linear problem it is constant, but we keep the per-step assembly to match
 the miniapp's structure and the paper's 5-step benchmark runs).
 
-Protected mode owns one :class:`~repro.protect.session.ProtectionSession`
-for the whole run: every step's solve — *any* deck solver, CG, PPCG,
-Jacobi or Chebyshev, with or without vector protection — threads through
-the session's long-lived deferred-verification engine, and the mandatory
-end-of-step sweep runs every ``tl_step_window`` steps, so the engine's
-dirty windows can span time-step boundaries (ROADMAP's engine-scheduled
-driver windows).
+The driver owns one :class:`~repro.protect.session.ProtectionSession`
+for the whole run — an :meth:`~repro.protect.config.ProtectionConfig.off`
+session when unprotected: every step's solve — *any* deck solver, CG,
+PPCG, Jacobi or Chebyshev, with or without vector protection — threads
+through the session's long-lived deferred-verification engine, and the
+mandatory end-of-step sweep runs every ``tl_step_window`` steps, so the
+engine's dirty windows can span time-step boundaries (ROADMAP's
+engine-scheduled driver windows).
 
 Resilience is layered on two granularities:
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import time
 
-from repro.protect.config import ProtectionConfig
+from repro.protect.config import ProtectionConfig, _solve_config
 from repro.protect.session import ProtectionSession
 from repro.protect.vector import ProtectedVector
 from repro.recover.policy import RECOVERABLE_ERRORS
@@ -93,17 +94,15 @@ class TeaLeafDriver:
         self.deck = deck
         self.state = TeaLeafState(deck)
         self.protection = protection
-        self.session: ProtectionSession | None = None
+        self.session = ProtectionSession(_solve_config(protection))
         self._u_protected: ProtectedVector | None = None
-        if protection is not None and protection.enabled:
-            self.session = ProtectionSession(protection)
-            if protection.protects_vectors:
-                # The solved field is application state that persists
-                # across steps — keep it under the same ECC scheme as
-                # the solver vectors, committed by row-windowed stores.
-                self._u_protected = ProtectedVector(
-                    self.state.u.ravel(), protection.vector_scheme
-                )
+        if self.session.config.protects_vectors:
+            # The solved field is application state that persists across
+            # steps — keep it under the same ECC scheme as the solver
+            # vectors, committed by row-windowed stores.
+            self._u_protected = ProtectedVector(
+                self.state.u.ravel(), self.session.config.vector_scheme
+            )
         self._eig_bounds = None
         self._steps_in_window = 0
         self.step_retries = 0
@@ -144,22 +143,21 @@ class TeaLeafDriver:
                 # solves), so reassembling the operator and redoing the
                 # step is a full recovery — if the deck allows it.
                 attempts += 1
-                if self.session is None or attempts > self.deck.tl_step_retries:
+                if attempts > self.deck.tl_step_retries:
                     raise
                 self.step_retries += 1
                 self.session.abort_step()
                 self._steps_in_window = 0
-        if self.session is not None:
-            self._steps_in_window += 1
-            if self._steps_in_window >= max(self.deck.tl_step_window, 1):
-                self.session.end_step()
-                self._steps_in_window = 0
-            else:
-                # Window stays open: verify-and-release this step's
-                # finished regions (the per-step matrix, flushed vectors)
-                # so memory and sweep cost stay flat across the window;
-                # dirty vectors keep spanning the boundary.
-                self.session.retire_step()
+        self._steps_in_window += 1
+        if self._steps_in_window >= max(self.deck.tl_step_window, 1):
+            self.session.end_step()
+            self._steps_in_window = 0
+        else:
+            # Window stays open: verify-and-release this step's finished
+            # regions (the per-step matrix, flushed vectors) so memory and
+            # sweep cost stay flat across the window; dirty vectors keep
+            # spanning the boundary.
+            self.session.retire_step()
         self._commit_temperature(result.x)
         self.state.step += 1
         self.state.time += dt
@@ -182,7 +180,7 @@ class TeaLeafDriver:
         temperature field gets its own end-of-run check: it is the
         run's *output*, so it must leave as a verified commit too.
         """
-        if self.session is not None and self._steps_in_window:
+        if self._steps_in_window:
             self.session.end_step()
             self._steps_in_window = 0
         if self._u_protected is not None:

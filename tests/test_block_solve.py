@@ -203,7 +203,8 @@ class TestBlockedCGParity:
     def test_protected_columns_bitwise_match_single_rhs(self, name, make_config):
         A, B = make_block_system(k=4)
         blocked = repro.solve(A, B, protection=make_config(), eps=1e-18)
-        assert blocked.info["fused_products"] > 0 or name != "paper_default"
+        if name == "paper_default" and make_config().resolved_fused_verify():
+            assert blocked.info["fused_products"] > 0
         for j in range(B.shape[1]):
             solo = repro.solve(A, B[:, j], protection=make_config(), eps=1e-18)
             assert solo.x.tobytes() == blocked.x[:, j].tobytes()

@@ -289,7 +289,7 @@ class TestDeferredSolvers:
         pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
         res = protected_cg_run(
             pmat, b, eps=1e-24,
-            policy=CheckPolicy(interval=interval, correct=False),
+            engine=DeferredVerificationEngine(CheckPolicy(interval=interval, correct=False)),
             vector_scheme="secded64",
         )
         assert res.converged
@@ -305,7 +305,7 @@ class TestDeferredSolvers:
         eager = protected_cg_run(pmat, b, eps=1e-24, vector_scheme="secded64")
         deferred = protected_cg_run(
             pmat, b, eps=1e-24,
-            policy=CheckPolicy(interval=16, correct=False),
+            engine=DeferredVerificationEngine(CheckPolicy(interval=16, correct=False)),
             vector_scheme="secded64",
         )
         assert abs(deferred.iterations - eager.iterations) <= 1
@@ -319,7 +319,7 @@ class TestDeferredSolvers:
         with pytest.raises(DetectedUncorrectableError):
             protected_cg_run(
                 pmat, b, eps=1e-24,
-                policy=CheckPolicy(interval=8, correct=False),
+                engine=DeferredVerificationEngine(CheckPolicy(interval=8, correct=False)),
                 vector_scheme="secded64",
             )
 
@@ -339,7 +339,7 @@ class TestDeferredSolvers:
         pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
         res = protected_ppcg_run(
             pmat, b, eps=1e-24, inner_steps=4,
-            policy=CheckPolicy(interval=16, correct=False),
+            engine=DeferredVerificationEngine(CheckPolicy(interval=16, correct=False)),
             vector_scheme="secded64",
         )
         assert res.converged
@@ -351,7 +351,7 @@ class TestDeferredSolvers:
         pmat = ProtectedCSRMatrix(matrix, "crc32c", "crc32c")
         res = protected_cg_run(
             pmat, b, eps=1e-24,
-            policy=CheckPolicy(interval=8, correct=False),
+            engine=DeferredVerificationEngine(CheckPolicy(interval=8, correct=False)),
             vector_scheme=None,
         )
         assert np.allclose(res.x, x_true, atol=1e-7)
@@ -378,18 +378,6 @@ class TestEngineBookkeeping:
         # not accumulate dead registrations across solves.
         assert len(engine._vectors) == 0
         assert len(engine._matrices) == 1
-
-    def test_conflicting_policy_and_engine_rejected(self):
-        from repro.errors import ConfigurationError
-
-        matrix = make_matrix()
-        pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        engine = DeferredVerificationEngine(CheckPolicy(interval=16))
-        with pytest.raises(ConfigurationError):
-            protected_cg_run(
-                pmat, np.ones(matrix.n_rows),
-                policy=CheckPolicy(interval=1), engine=engine,
-            )
 
     def test_register_rejects_unknown_regions(self):
         from repro.errors import ConfigurationError

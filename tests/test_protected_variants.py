@@ -17,7 +17,12 @@ import pytest
 from repro.bits.float_bits import f64_to_u64
 from repro.errors import DetectedUncorrectableError
 from repro.harness.overhead import tealeaf_like_matrix
-from repro.protect import CheckPolicy, ProtectedCSRMatrix, ProtectionConfig
+from repro.protect import (
+    CheckPolicy,
+    DeferredVerificationEngine,
+    ProtectedCSRMatrix,
+    ProtectionConfig,
+)
 from repro.solvers import (
     chebyshev_solve,
     estimate_eigenvalue_bounds,
@@ -60,7 +65,7 @@ class TestProtectedJacobi:
         res = protected_jacobi_run(
             ProtectedCSRMatrix(matrix, "secded64", "secded64"),
             b, eps=1e-24, max_iters=20_000,
-            policy=CheckPolicy(interval=interval, correct=False),
+            engine=DeferredVerificationEngine(CheckPolicy(interval=interval, correct=False)),
             vector_scheme="secded64",
         )
         assert res.converged
@@ -116,7 +121,7 @@ class TestProtectedJacobi:
         with pytest.raises(DetectedUncorrectableError):
             protected_jacobi_run(
                 pmat, b, eps=1e-24, max_iters=20_000,
-                policy=CheckPolicy(interval=16, correct=False),
+                engine=DeferredVerificationEngine(CheckPolicy(interval=16, correct=False)),
                 vector_scheme="secded64",
             )
 
@@ -160,7 +165,7 @@ class TestProtectedChebyshev:
         res = protected_chebyshev_run(
             ProtectedCSRMatrix(matrix, "secded64", "secded64"),
             b, eps=1e-24, max_iters=20_000,
-            policy=CheckPolicy(interval=interval, correct=False),
+            engine=DeferredVerificationEngine(CheckPolicy(interval=interval, correct=False)),
             vector_scheme="secded64",
         )
         assert res.converged

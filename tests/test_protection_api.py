@@ -469,13 +469,29 @@ class TestProtectionSession:
         assert session.steps_completed == len(METHODS)
 
     def test_disabled_session_runs_plain(self):
-        A, b, x_true = make_system()
+        """An off() session owns an engine that schedules nothing: the
+        solve is bitwise the textbook CG and no counter moves."""
+        A, b, _ = make_system()
         session = ProtectionSession(ProtectionConfig.off())
-        assert session.engine is None
+        assert isinstance(session.engine, DeferredVerificationEngine)
         res = session.solve(A, b, eps=1e-24)
-        assert np.allclose(res.x, x_true, atol=1e-8)
-        session.end_step()  # no-op, still counts the step
+        assert res.x.tobytes() == cg_solve(A, b, eps=1e-24).x.tobytes()
+        assert not any(dataclasses.asdict(session.stats).values())
+        session.end_step()  # nothing to sweep, still counts the step
         assert session.steps_completed == 1
+
+    def test_disabled_config_session_runs_as_off(self):
+        """A disabled config is not always off(): this one keeps the
+        default interval 1.  A session runs it as repro.solve does —
+        under off(), so no check is scheduled."""
+        A, b, _ = make_system()
+        config = ProtectionConfig(element_scheme=None, rowptr_scheme=None,
+                                  vector_scheme=None)
+        assert config.interval == 1 and not config.enabled
+        ref = solve(A, b, eps=1e-24, protection=config)
+        res = ProtectionSession(config).solve(A, b, eps=1e-24)
+        assert res.info["full_checks"] == ref.info["full_checks"] == 0
+        assert res.x.tobytes() == ref.x.tobytes()
 
     def test_disabled_session_decodes_wrapped_matrix(self):
         """Parity with registry.solve: protection off + protected input."""
@@ -654,15 +670,6 @@ class TestProtectionSession:
 
 
 class TestSupportingPolicyPlumbing:
-    def test_engine_policy_still_rejected_with_conflicting_policy(self):
-        A, b, _ = make_system(6)
-        pmat = ProtectedCSRMatrix(A, "secded64", "secded64")
-        engine = DeferredVerificationEngine(CheckPolicy(interval=16))
-        with pytest.raises(ConfigurationError):
-            get_method("cg").protected(
-                pmat, b, policy=CheckPolicy(interval=1), engine=engine
-            )
-
     def test_session_without_engine_uses_session_engine(self):
         """session= without engine= must ride the session's engine, not a
         silent throwaway that end_step() would never sweep."""
@@ -677,7 +684,7 @@ class TestSupportingPolicyPlumbing:
         assert len(session.engine._vectors) == 0
 
     def test_session_with_foreign_engine_rejected(self):
-        A, b, _ = make_system(6)
+        A, b, x_true = make_system(6)
         pmat = ProtectedCSRMatrix(A, "secded64", "secded64")
         session = ProtectionSession(ProtectionConfig.deferred(window=16))
         with pytest.raises(ConfigurationError):
@@ -685,7 +692,8 @@ class TestSupportingPolicyPlumbing:
                 pmat, b, engine=DeferredVerificationEngine(CheckPolicy()),
                 session=session,
             )
-        with pytest.raises(ConfigurationError):
-            get_method("cg").protected(
-                pmat, b, session=ProtectionSession(ProtectionConfig.off()),
-            )
+        # A disabled session owns an off() engine, so it solves.
+        res = get_method("cg").protected(
+            pmat, b, eps=1e-24, session=ProtectionSession(ProtectionConfig.off()),
+        )
+        assert np.allclose(res.x, x_true, atol=1e-8)

@@ -22,7 +22,7 @@ from repro.faults import (
 from repro.faults.injector import Region
 from repro.protect import ProtectionConfig, ProtectionSession
 from repro.recover import CheckpointStore, RecoveryManager, RecoveryPolicy
-from repro.solvers import JacobiPreconditioner
+from repro.solvers import JacobiPreconditioner, protected_block_cg_run
 from repro.solvers.registry import get_method, solve
 
 EPS = 1e-22
@@ -201,22 +201,41 @@ class TestMidSolveRecovery:
         assert np.allclose(result.x, reference.x, **TOL)
         assert result.info["recovery"]["rollbacks"] >= 1
 
-    @pytest.mark.parametrize("method", ["cg", "ppcg", "jacobi", "chebyshev"])
-    def test_every_method_is_restartable(self, method):
+    @pytest.mark.parametrize("method,strategy", [
+        pytest.param("cg", "rollback", id="cg"),
+        pytest.param("ppcg", "rollback", id="ppcg"),
+        pytest.param("jacobi", "rollback", id="jacobi"),
+        pytest.param("chebyshev", "rollback", id="chebyshev"),
+        # Blocked CG over a 2-column b restarts every column together.
+        pytest.param("block", "rollback", id="block-rollback"),
+        pytest.param("block", "repopulate", id="block-repopulate"),
+    ])
+    def test_every_method_is_restartable(self, method, strategy):
         matrix, b = make_problem()
-        reference = solve(matrix, b, method=method, eps=1e-18, max_iters=4000)
-        config = sed_config("rollback", interval=4)
+        blocked = method == "block"
+        if blocked:
+            b = np.stack([b, np.random.default_rng(7).standard_normal(b.size)],
+                         axis=1)
+        config = sed_config(strategy, interval=4)
         engine = config.engine()
         pmat = config.wrap_matrix(matrix)
         engine.add_iteration_hook(flip_matrix_value_at(3)(engine, pmat))
-        result = get_method(method).protected(
+        runner = (protected_block_cg_run if blocked
+                  else get_method(method).protected)
+        result = runner(
             pmat, b, engine=engine, vector_scheme="sed",
             eps=1e-18, max_iters=4000,
         )
-        assert result.converged
-        assert np.allclose(result.x, reference.x, rtol=1e-5, atol=1e-7)
+        columns = ([result.column(j) for j in range(result.k)] if blocked
+                   else [result])
+        rhs = b.T if blocked else [b]
+        for col, b_col in zip(columns, rhs):
+            reference = solve(matrix, b_col, method="cg" if blocked else method,
+                              eps=1e-18, max_iters=4000)
+            assert col.converged
+            assert np.allclose(col.x, reference.x, rtol=1e-5, atol=1e-7)
         rec = result.info["recovery"]
-        assert rec["rollbacks"] >= 1
+        assert rec["rollbacks" if strategy == "rollback" else "repopulates"] >= 1
 
     @pytest.mark.parametrize("strategy", ["rollback", "repopulate"])
     def test_presolve_corruption_recovers_via_persistent_source(self, strategy):

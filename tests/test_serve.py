@@ -208,8 +208,9 @@ class TestMatrixCache:
         one = pool.get(spec, "deferred")
         two = pool.get(spec, "deferred")
         assert one is two
-        assert pool.get(spec, None) is None
-        assert pool.stats == {"created": 1, "reused": 1}
+        plain = pool.get(spec, None)  # unprotected specs get an off() session
+        assert plain is not one and plain.config == repro.ProtectionConfig.off()
+        assert pool.stats == {"created": 2, "reused": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.solvers import (
     ppcg_solve,
     protected_cg_run,
 )
-from repro.protect import CheckPolicy, ProtectedCSRMatrix
+from repro.protect import CheckPolicy, DeferredVerificationEngine, ProtectedCSRMatrix
 
 
 def make_system(nx=8, ny=7, seed=0):
@@ -155,14 +155,16 @@ class TestProtectedCG:
         A, b, _ = make_system()
         pmat = ProtectedCSRMatrix(A, "secded64", "secded64")
         policy = CheckPolicy(interval=8, correct=False)
-        res = protected_cg_run(pmat, b, eps=1e-24, policy=policy, vector_scheme=None)
+        res = protected_cg_run(pmat, b, eps=1e-24, engine=DeferredVerificationEngine(policy),
+                               vector_scheme=None)
         assert res.info["bounds_checks"] > res.info["full_checks"]
 
     def test_end_of_step_sweep_counted(self):
         A, b, _ = make_system()
         pmat = ProtectedCSRMatrix(A, "secded64", "secded64")
         policy = CheckPolicy(interval=1000, correct=False)
-        res = protected_cg_run(pmat, b, eps=1e-24, policy=policy, vector_scheme=None)
+        res = protected_cg_run(pmat, b, eps=1e-24, engine=DeferredVerificationEngine(policy),
+                               vector_scheme=None)
         # Initial forced check + final mandatory sweep at minimum.
         assert res.info["full_checks"] >= 2
 
