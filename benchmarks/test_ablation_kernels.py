@@ -2,8 +2,7 @@
 
 * batched row-parallel CRC32C vs the scalar Slicing-by-16 loop (the
   NumPy stand-in for the paper's SIMD/hardware acceleration argument);
-* fixed-width SpMV vs the general reduceat path (the 5-entry-per-row
-  storage decision);
+* the general reduceat SpMV, the one product path;
 * encode vs check cost per scheme (write-buffering rationale: encodes
   happen once per write, checks once per read).
 """
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.ecc.crc32c import crc32c_batch, crc32c_slicing16
-from repro.csr.spmv import spmv, spmv_fixed_width
+from repro.csr.spmv import spmv
 from repro.protect.vector import ProtectedVector
 
 SCHEMES = ["sed", "secded64", "secded128", "crc32c"]
@@ -45,13 +44,6 @@ def test_spmv_general_reduceat(benchmark, bench_matrix, bench_x):
     benchmark(
         spmv, bench_matrix.values, bench_matrix.colidx, bench_matrix.rowptr,
         bench_x, bench_matrix.n_rows,
-    )
-
-
-def test_spmv_fixed_width(benchmark, bench_matrix, bench_x):
-    benchmark.group = "ablation-spmv-path"
-    benchmark(
-        spmv_fixed_width, bench_matrix.values, bench_matrix.colidx, bench_x, 5
     )
 
 

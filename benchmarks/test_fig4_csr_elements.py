@@ -12,7 +12,7 @@ import pytest
 from _common import BENCH_N, write_report
 from repro.harness.experiments import run_experiment
 from repro.harness.report import format_table
-from repro.protect.kernels import protected_spmv
+from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 
@@ -30,7 +30,8 @@ def test_spmv_protected_elements(benchmark, bench_matrix, bench_x, scheme):
     pmat = ProtectedCSRMatrix(bench_matrix, scheme, None)
 
     def run():
-        protected_spmv(pmat, bench_x, CheckPolicy(interval=1, correct=False))
+        engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=False))
+        engine.spmv(pmat, bench_x)
 
     benchmark(run)
 

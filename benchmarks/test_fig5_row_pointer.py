@@ -5,7 +5,7 @@ import pytest
 from _common import BENCH_N, write_report
 from repro.harness.experiments import run_experiment
 from repro.harness.report import format_table
-from repro.protect.kernels import protected_spmv
+from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 
@@ -23,7 +23,8 @@ def test_spmv_protected_rowptr(benchmark, bench_matrix, bench_x, scheme):
     pmat = ProtectedCSRMatrix(bench_matrix, None, scheme)
 
     def run():
-        protected_spmv(pmat, bench_x, CheckPolicy(interval=1, correct=False))
+        engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=False))
+        engine.spmv(pmat, bench_x)
 
     benchmark(run)
 

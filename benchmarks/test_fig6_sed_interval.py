@@ -9,7 +9,7 @@ import pytest
 from _common import BENCH_N, write_report
 from repro.harness.experiments import run_experiment
 from repro.harness.report import format_interval_series
-from repro.protect.kernels import protected_spmv
+from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 
@@ -24,11 +24,11 @@ def protected(bench_matrix):
 @pytest.mark.parametrize("interval", INTERVALS)
 def test_sed_whole_matrix_interval(benchmark, protected, bench_x, interval):
     benchmark.group = "fig6-sed-interval"
-    policy = CheckPolicy(interval=interval, correct=False)
+    engine = DeferredVerificationEngine(CheckPolicy(interval=interval, correct=False))
 
     def run():
         for _ in range(16):
-            protected_spmv(protected, bench_x, policy)
+            engine.spmv(protected, bench_x)
 
     benchmark(run)
 

@@ -13,7 +13,7 @@ from repro.csr.build import (
     csr_from_scipy,
     five_point_operator,
 )
-from repro.csr.spmv import spmv, spmv_fixed_width, row_dot
+from repro.csr.spmv import spmv, row_dot
 from repro.csr.validate import validate_structure
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "csr_from_scipy",
     "five_point_operator",
     "spmv",
-    "spmv_fixed_width",
     "row_dot",
     "validate_structure",
 ]

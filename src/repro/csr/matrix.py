@@ -58,13 +58,6 @@ class CSRMatrix:
         ptr = self.rowptr.astype(np.int64)
         return ptr[1:] - ptr[:-1]
 
-    def is_fixed_width(self) -> int | None:
-        """The common row length when every row stores it, else ``None``."""
-        lengths = self.row_lengths()
-        if lengths.size and np.all(lengths == lengths[0]):
-            return int(lengths[0])
-        return None
-
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sparse matrix-vector product ``A @ x``.

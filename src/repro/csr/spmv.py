@@ -1,16 +1,13 @@
 """Reference SpMV kernels.
 
-Two code paths, mirroring how the paper's kernels exploit structure:
+One product path: :func:`spmv` — general CSR via ``np.add.reduceat``
+(any row lengths, any operand rank: a vector or a block of right-hand
+sides), finishing through :func:`reduce_rows`, the row reduction the
+protected matrices' plain and verify-in-SpMV products share, so every
+product in the package is bitwise the same arithmetic.  It is pure
+gather-multiply-reduce over the three CSR vectors.
 
-* :func:`spmv` — general CSR via ``np.add.reduceat`` (any row lengths,
-  any operand rank: a vector or a block of right-hand sides);
-* :func:`spmv_fixed_width` — the fast path for matrices whose rows all
-  store the same number of entries (TeaLeaf's 5-point operator stores 5
-  per row), one reshape + row sum, no indirection over rows.
-
-Both are pure gather-multiply-reduce over the three CSR vectors, so the
-protected kernels in :mod:`repro.protect.kernels` can wrap them without
-duplicating arithmetic.
+:func:`row_dot` is the scalar per-row oracle the tests hold it to.
 """
 
 from __future__ import annotations
@@ -118,25 +115,6 @@ def spmv(
             np.multiply(values[lo:hi], g, out=products[..., lo:hi])
         products = products[..., : values.size]
     return reduce_rows(products, rowptr, out, lengths=lengths)
-
-
-def spmv_fixed_width(
-    values: np.ndarray,
-    colidx: np.ndarray,
-    x: np.ndarray,
-    width: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """SpMV when every row stores exactly ``width`` entries."""
-    n_rows = values.size // width
-    if colidx.dtype != np.int64:
-        colidx = colidx.astype(np.int64)
-    products = values * x[colidx]
-    result = products.reshape(n_rows, width).sum(axis=1)
-    if out is None:
-        return result
-    out[:] = result
-    return out
 
 
 def row_dot(

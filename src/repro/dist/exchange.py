@@ -25,12 +25,14 @@ coordinator) rather than raising; policy — respawn vs
 Workers are spawn-context processes (consistent with the sweep executor:
 BLAS thread pools and fork do not mix) running
 :func:`repro.dist.workers.shard_worker_main`.  A process is started with
-its pipe end only; its start-up payload follows as the first message on
-that pipe (``{"cmd": "boot", "payload": ...}``), so every child imports
-its interpreter state concurrently instead of each ``start()`` blocking
-on a payload-sized spawn pipe until *that* child is up.  Everything
-crossing the pipe — the boot payload and every message — must be
-picklable.
+its pipe end only; every child imports its interpreter state
+concurrently and announces itself on the pipe once it is up, and only
+then does its start-up payload follow as the first message
+(``{"cmd": "boot", "payload": ...}``).  The pool waits for those
+announcements before a round is ever timed, so interpreter start-up is
+charged to the boot, never to a round's timeout, and a round timeout
+may be shorter than a spawn.  Everything crossing the pipe — the boot
+payload and every message — must be picklable.
 """
 
 from __future__ import annotations
@@ -54,6 +56,23 @@ _SHUTDOWN_GRACE = 2.0
 #: Seconds a terminated worker gets to die of SIGTERM before SIGKILL.
 _TERMINATE_GRACE = 5.0
 
+#: Seconds a (re)boot waits for its workers' start-up announcements.  A
+#: worker still silent then is left to the first round's timeout.
+_BOOT_TIMEOUT = DEFAULT_ROUND_TIMEOUT
+
+#: What a worker process sends once its interpreter is up.
+_STARTED = "started"
+
+
+def _run_shard(runner, conn) -> None:
+    """Spawned-process entry: announce start-up, then run the worker.
+
+    By the time this runs, the child's interpreter is up and ``runner``'s
+    module imported (unpickling the target's arguments did that).
+    """
+    conn.send(_STARTED)
+    runner(conn)
+
 
 class ShardLink:
     """One worker shard: its process handle plus the coordinator's pipe end.
@@ -61,16 +80,17 @@ class ShardLink:
     Created (and re-created, after a death) by :class:`ShardPool`; the
     link owns process lifecycle for its shard — spawn, terminate, join —
     and the raw send/receive primitives the pool's rounds are built on.
-    The process starts with its pipe end only: the pool hands it the
-    start-up payload as the first message (see :meth:`ShardPool._boot`).
+    The process starts with its pipe end only and announces itself on
+    it; the pool then hands it the start-up payload as the first message
+    (see :meth:`ShardPool._boot`).
     """
 
     def __init__(self, index: int, runner: str, ctx):
         self.index = index
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=resolve_runner(runner),
-            args=(child_conn,),
+            target=_run_shard,
+            args=(resolve_runner(runner), child_conn),
             name=f"repro-dist-shard-{index}",
         )
         self.process.start()
@@ -143,8 +163,8 @@ class ShardPool:
     The pool keeps three counters for the solve's report: ``rounds``
     (lockstep collects, sub-rounds included), ``boot_s`` (seconds from
     starting worker processes to their payloads being handed over,
-    respawns included) and ``wait_s`` (seconds the coordinator spent
-    inside :meth:`collect`).
+    interpreter start-up and respawns included) and ``wait_s`` (seconds
+    the coordinator spent inside :meth:`collect`).
     """
 
     def __init__(
@@ -172,21 +192,43 @@ class ShardPool:
             raise
 
     def _boot(self, indices) -> None:
-        """Start a worker per index, then hand each its payload.
+        """Start a worker per index, await their start-up, hand each its payload.
 
-        Two passes on purpose: every ``start()`` returns as soon as the
-        child is launched, so by the time the first (payload-sized,
-        hence blocking) ``boot`` send is being read, all the other
-        children are already importing alongside it.
+        Three passes on purpose: every ``start()`` returns as soon as the
+        child is launched, so all the children import alongside each
+        other while the pool waits for their announcements; only then
+        do the (payload-sized, hence blocking) ``boot`` sends go out.
+        The first round after a (re)boot therefore times the shards'
+        work, not their interpreter start-up.
         """
         started = time.perf_counter()
         for index in indices:
             self.links[index] = ShardLink(index, self._runner, self._ctx)
+        self._await_started(indices, started + _BOOT_TIMEOUT)
         for index in indices:
             self.links[index].send(
                 {"cmd": "boot", "payload": self._payloads[index]}
             )
         self.boot_s += time.perf_counter() - started
+
+    def _await_started(self, indices, deadline: float) -> None:
+        """Wait until every new worker has announced itself or exited.
+
+        A worker that dies (or hangs) at start-up is not judged here:
+        the first round finds it dead, exactly as it would mid-solve.
+        """
+        waiting = {}
+        for index in indices:
+            link = self.links[index]
+            waiting[link.conn] = waiting[link.process.sentinel] = index
+        while waiting:
+            ready = wait(list(waiting), max(deadline - time.perf_counter(), 0.0))
+            if not ready:
+                return
+            for index in {waiting[obj] for obj in ready}:
+                link = self.links[index]
+                link.try_recv()  # the announcement, unless it died first
+                del waiting[link.conn], waiting[link.process.sentinel]
 
     @property
     def n_shards(self) -> int:

@@ -15,10 +15,10 @@ import numpy as np
 from repro.csr.build import five_point_operator
 from repro.csr.matrix import CSRMatrix
 from repro.harness.timing import overhead_ratio, time_callable
+from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 from repro.protect.vector import ProtectedVector
-from repro.protect.kernels import protected_spmv
 
 
 def tealeaf_like_matrix(n: int = 256, seed: int = 0) -> CSRMatrix:
@@ -58,9 +58,9 @@ def measure_element_overheads(
         pmat = ProtectedCSRMatrix(matrix, scheme, None)
 
         def run():
-            policy = CheckPolicy(interval=1, correct=False)
+            engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=False))
             for _ in range(iters):
-                protected_spmv(pmat, x, policy)
+                engine.spmv(pmat, x)
 
         out[scheme] = overhead_ratio(time_callable(run, repeats=repeats), t_base)
     return out
@@ -84,9 +84,9 @@ def measure_rowptr_overheads(
         pmat = ProtectedCSRMatrix(matrix, None, scheme)
 
         def run():
-            policy = CheckPolicy(interval=1, correct=False)
+            engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=False))
             for _ in range(iters):
-                protected_spmv(pmat, x, policy)
+                engine.spmv(pmat, x)
 
         out[scheme] = overhead_ratio(time_callable(run, repeats=repeats), t_base)
     return out
@@ -137,7 +137,12 @@ def measure_interval_curve(
     scheme: str, n: int = 256, intervals=(1, 2, 4, 8, 16, 32, 64, 128),
     iters: int = 16, repeats: int = 3,
 ) -> dict[int, float]:
-    """Figs. 6-8 on the host: whole-matrix overhead vs check interval."""
+    """Figs. 6-8 on the host: whole-matrix overhead vs check interval.
+
+    Measures the engine's schedule, which is what every solve runs: a
+    due access verifies the whole matrix, the others gather through the
+    bounds-validated index snapshot, and one sweep ends the step.
+    """
     matrix = tealeaf_like_matrix(n)
     x = np.random.default_rng(4).standard_normal(matrix.n_cols)
 
@@ -151,11 +156,12 @@ def measure_interval_curve(
     for interval in intervals:
 
         def run():
-            policy = CheckPolicy(interval=int(interval), correct=False)
+            engine = DeferredVerificationEngine(
+                CheckPolicy(interval=int(interval), correct=False)
+            )
             for _ in range(iters):
-                protected_spmv(pmat, x, policy)
-            if policy.end_of_step():
-                pmat.check_all(correct=False)
+                engine.spmv(pmat, x)
+            engine.finalize()  # the end-of-step sweep, when checks were deferred
 
         out[int(interval)] = overhead_ratio(
             time_callable(run, repeats=repeats), t_base

@@ -16,13 +16,15 @@ The public surface of the paper's contribution:
 * :class:`~repro.protect.policy.CheckPolicy` — less-frequent checking,
   per region;
 * :class:`~repro.protect.engine.DeferredVerificationEngine` — dirty
-  windows, cached decode-free reads and amortised check scheduling;
+  windows, cached decode-free reads and amortised check scheduling: the
+  one scheduler of every matrix check (``interval=1`` checks on every
+  access);
 * :class:`~repro.protect.config.ProtectionConfig` — the single source of
   truth for what is protected and when it is verified;
 * :class:`~repro.protect.session.ProtectionSession` — one engine across
   many solves, with cross-time-step dirty windows;
-* :mod:`repro.protect.kernels` — SpMV and matrix verification over
-  protected data.
+* :class:`~repro.protect.operator.ProtectedOperator` — a protected CSR
+  matrix as a plain operator whose products run through an engine.
 """
 
 from repro.protect.codeword_store import CODEWORD_TABLE, CodewordStore, codeword_row
@@ -34,7 +36,6 @@ from repro.protect.policy import CheckPolicy, PolicyStats
 from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.config import ProtectionConfig
 from repro.protect.session import ProtectionSession
-from repro.protect.kernels import protected_spmv
 from repro.protect.coo_elements import ProtectedCOOElements, ProtectedCOOMatrix
 from repro.protect.csr64 import ProtectedCSRElements64, ProtectedRowPointer64
 from repro.protect.operator import ProtectedOperator
@@ -58,5 +59,4 @@ __all__ = [
     "DeferredVerificationEngine",
     "ProtectionConfig",
     "ProtectionSession",
-    "protected_spmv",
 ]

@@ -1,13 +1,17 @@
 """Deferred-verification engine: dirty windows + amortised integrity checks.
 
-The check-on-every-read / re-encode-on-every-write discipline of the
-original kernels makes full protection ~45x slower than the unprotected
-solve.  Hoemmen-style selective reliability and the paper's own
-check-interval model (§VI.A.2) both amortise that cost: integrity is
-verified once per *window* of iterations instead of once per access,
-with cheap range checks in between and one mandatory sweep at the end.
+Checking on every read and re-encoding on every write makes full
+protection ~45x slower than the unprotected solve.  Hoemmen-style
+selective reliability and the paper's own check-interval model
+(§VI.A.2) both amortise that cost: integrity is verified once per
+*window* of iterations instead of once per access, with cheap range
+checks in between and one mandatory sweep at the end.  ``interval=1``
+is the every-access mode.
 
-The engine owns that schedule for a solve:
+The engine is the only code that schedules, accounts for or raises on
+a matrix check — solvers, :class:`~repro.protect.operator.ProtectedOperator`
+and the overhead harness all verify through it.  It owns that schedule
+for a solve:
 
 * **decode-free reads** — :meth:`read` returns the region's cached plain
   ``float64`` view (:meth:`ProtectedVector.view`), so dots and axpys run
@@ -36,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, DetectedUncorrectableError
-from repro.protect.kernels import full_matrix_check, fused_matrix_spmv
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 from repro.protect.vector import ProtectedVector
@@ -193,10 +196,14 @@ class DeferredVerificationEngine:
         self._read_since_check.add(key)
         if self.policy.should_check():
             if self.policy.fused_verify and matrix.supports_fused_verify():
-                name = self._matrices.get(key, ("matrix", None))[0]
                 self._read_since_check.discard(key)
                 self._stripe_cursor.pop(key, None)
-                y = fused_matrix_spmv(matrix, x, self.policy, name=name, out=out)
+                # One full check, whatever the operand's rank: a blocked
+                # product verifies each codeword once for all its columns.
+                y, reports = matrix.spmv_verified(x, out=out, correct=self.policy.correct)
+                self.policy.stats.full_checks += 1
+                self.policy.stats.fused_products += 1
+                self._account(matrix, reports)
                 self._fused_cover.add(key)
                 return y
             if self.policy.stripes > 1:
@@ -257,20 +264,43 @@ class DeferredVerificationEngine:
             self.verify_matrix(matrix)
 
     def verify_matrix(self, matrix: ProtectedCSRMatrix) -> None:
-        """Full matrix check now, raising on uncorrectable damage."""
-        name = self._matrices.get(id(matrix), ("matrix", None))[0]
+        """Full matrix check now, raising on uncorrectable damage.
+
+        Scheduled full checks, the end-of-step sweep and a solver's
+        forced sweeps (up front, after a repair) all land here.
+        """
         self._read_since_check.discard(id(matrix))
         self._stripe_cursor.pop(id(matrix), None)  # full check restarts rotation
-        full_matrix_check(matrix, self.policy, name=name)
+        reports = matrix.check_all(correct=self.policy.correct)
+        self.policy.stats.full_checks += 1
+        self._account(matrix, reports)
 
     def _verify_stripe(self, matrix: ProtectedCSRMatrix) -> None:
         """Scheduled striped verification: one round-robin slice per due access."""
-        name = self._matrices.get(id(matrix), ("matrix", None))[0]
         key = id(matrix)
         k = self._stripe_cursor.get(key, 0)
         n = self.policy.stripes
-        full_matrix_check(matrix, self.policy, name=name, stripe=(k, n))
+        reports = matrix.check_stripe(k, n, correct=self.policy.correct)
+        self.policy.stats.stripe_checks += 1
+        self._account(matrix, reports)
         self._stripe_cursor[key] = (k + 1) % n
+
+    def _account(self, matrix: ProtectedCSRMatrix, reports: dict) -> None:
+        """Fold a matrix check's region reports into the counters; raise on a DUE.
+
+        The one report → stats → raise step every matrix verification
+        ends in, whether it ran as a sweep, a stripe or fused inside a
+        product.  The error names the region as ``<matrix>:<region>``.
+        """
+        name = self._matrices.get(id(matrix), ("matrix", None))[0]
+        stats = self.policy.stats
+        for region, report in reports.items():
+            stats.corrected += report.n_corrected
+            stats.uncorrectable += report.n_uncorrectable
+            if not report.ok:
+                raise DetectedUncorrectableError(
+                    f"{name}:{region}", report.uncorrectable_indices()[:8].tolist()
+                )
 
     def verify_vector(self, vector: ProtectedVector) -> None:
         """Flush and fully check one vector now, raising on damage.

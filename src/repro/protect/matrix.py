@@ -17,7 +17,7 @@ from repro.csr.matrix import CSRMatrix
 from repro.csr.spmv import reduce_rows, spmv
 from repro.ecc.base import CheckReport
 from repro.ecc.secded_kernels import CHUNK, _chunk_screen_split
-from repro.errors import BoundsViolationError, DetectedUncorrectableError
+from repro.errors import BoundsViolationError
 from repro.protect.csr_elements import ProtectedCSRElements
 from repro.protect.row_pointer import ProtectedRowPointer
 
@@ -231,16 +231,6 @@ class ProtectedCSRMatrix:
             self._diagonal = None
         return reports
 
-    def check_or_raise(self, correct: bool = True) -> dict[str, CheckReport]:
-        """Like :meth:`check_all` but raises on any uncorrectable codeword."""
-        reports = self.check_all(correct=correct)
-        for region, report in reports.items():
-            if not report.ok:
-                raise DetectedUncorrectableError(
-                    region, report.uncorrectable_indices()[:8].tolist()
-                )
-        return reports
-
     def detect_any(self) -> bool:
         """Cheapest question: is anything corrupted right now?"""
         return bool(self.elements.detect().any() or self.rowptr_protected.detect().any())
@@ -420,7 +410,7 @@ class ProtectedCSRMatrix:
         the same pass.  Chunks that screen dirty detour through the
         container's correcting cold path and are re-gathered; an
         uncorrectable codeword yields ``y is None`` with the failure in
-        the report (callers raise, mirroring ``check_or_raise``).
+        the report (the engine raises on it).
 
         ``x`` is ``(..., n_cols)``.  For a ``(k, n_cols)`` block each
         codeword chunk is syndromed **once**, then gathered and

@@ -77,7 +77,8 @@ class CheckPolicy:
         matrix, so full coverage takes ``interval * stripes`` accesses —
         a strict generalisation of the paper's interval model
         (``stripes=1`` is exactly §VI.A.2).  The end-of-step sweep is
-        always a full check regardless.
+        always a full check regardless.  The rotation cursor is the
+        engine's, one per matrix.
     fused_verify:
         Run due matrix checks *inside* the SpMV (verify-in-SpMV): the
         kernel screens each codeword on the gather traffic the product
@@ -88,7 +89,6 @@ class CheckPolicy:
         verified everything it consumed and nothing was consumed
         unverified afterwards, the end-of-step sweep skips the matrix
         regions (they are recorded in ``stats.sweeps_skipped``).
-        Engine-level; the eager kernel path ignores it.
     """
 
     def __init__(
@@ -118,7 +118,6 @@ class CheckPolicy:
         self.fused_verify = bool(fused_verify)
         self._access = 0
         self._vector_access = 0
-        self._stripe_pos = 0
         self.stats = PolicyStats()
 
     def should_check(self) -> bool:
@@ -128,17 +127,6 @@ class CheckPolicy:
         due = (self._access % self.interval) == 0
         self._access += 1
         return due
-
-    def next_stripe(self) -> int:
-        """Advance the round-robin stripe cursor for single-matrix callers.
-
-        The eager kernel path (:func:`repro.protect.kernels.verify_matrix`)
-        checks one matrix per policy, so the rotation can live here; the
-        engine keeps per-matrix cursors of its own.
-        """
-        k = self._stripe_pos
-        self._stripe_pos = (k + 1) % self.stripes
-        return k
 
     def vector_check_due(self) -> bool:
         """Advance the vector iteration counter; True when a check is due."""
@@ -166,7 +154,6 @@ class CheckPolicy:
         """Restart the access phase (e.g. at the beginning of a time-step)."""
         self._access = 0
         self._vector_access = 0
-        self._stripe_pos = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,7 +13,8 @@ class LinearOperator:
     """Minimal operator interface every solver consumes.
 
     Wraps anything exposing ``matvec`` (CSRMatrix, ProtectedCSRMatrix via
-    the kernels, scipy operators in tests).
+    :class:`~repro.protect.operator.ProtectedOperator`, scipy operators in
+    tests).
     """
 
     def __init__(self, matvec, n: int, diagonal=None):

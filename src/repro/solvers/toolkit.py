@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.errors import BoundsViolationError, ConfigurationError
 from repro.protect.engine import DeferredVerificationEngine
-from repro.protect.kernels import verify_matrix
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.vector import ProtectedBlockVector, ProtectedVector
 from repro.recover.policy import RECOVERABLE_ERRORS
@@ -142,8 +141,8 @@ class ProtectedIteration:
         )
         self._init_check_skipped = skip_init
         try:
-            if not skip_init:
-                verify_matrix(matrix, self.policy, force=self.policy.interval != 0)
+            if not skip_init and self.policy.interval != 0:
+                self.engine.verify_matrix(matrix)
         except RECOVERABLE_ERRORS as exc:
             # Corruption that predates the solve.  Repairable only from
             # an application-held (persistent) source — the campaign's
@@ -154,7 +153,7 @@ class ProtectedIteration:
             action = self.recovery.on_due(exc)  # spends a retry or re-raises
             if not self.recovery.repair_matrix(matrix):
                 raise
-            verify_matrix(matrix, self.policy, force=True)
+            self.engine.verify_matrix(matrix)
             self.recovery.note_recovered(action)
         if self.recovery is not None:
             # The pristine source for repopulate/rollback, decoded right
@@ -250,7 +249,7 @@ class ProtectedIteration:
         """
         if self._init_check_skipped:
             self._init_check_skipped = False
-            verify_matrix(self.matrix, self.policy, force=True)
+            self.engine.verify_matrix(self.matrix)
         matrix = self.matrix
         return LinearOperator(matrix.matvec_unchecked, matrix.n_rows, matrix.diagonal)
 

@@ -33,8 +33,9 @@ each step's solution is committed through *row-windowed* stores
 a time), so the windowed encode path runs at scale in the assembly/commit
 loop rather than only in unit tests.
 
-The old eager ``ProtectedOperator`` fallback and its "vector protection
-is only implemented for the CG solver" restriction are gone.
+The old ``ProtectedOperator`` fallback for non-CG methods and its
+"vector protection is only implemented for the CG solver" restriction
+are gone.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from repro.csr.spmv import spmv
 from repro.ecc.profiles import csr_element_secded, vector_secded128
 from repro.errors import ConfigurationError, DetectedUncorrectableError
 from repro.protect.config import ProtectionConfig
+from repro.protect.engine import DeferredVerificationEngine
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.protect.policy import CheckPolicy
 from repro.protect.vector import ProtectedVector
@@ -223,47 +224,28 @@ class TestStripedVerification:
             engine.finalize()
 
     def test_eager_kernel_path_honours_stripes(self):
-        """verify_matrix (no engine) rotates stripes like the engine does."""
-        from repro.protect.kernels import verify_matrix
+        """The every-access schedule (``interval=1``) rotates through stripes.
 
+        A due access verifies one stripe, so a flip is caught within one
+        rotation; a forced sweep is always full.
+        """
         matrix = make_matrix()
         pmat = ProtectedCSRMatrix(matrix, "secded64", "secded64")
-        policy = CheckPolicy(interval=1, correct=False, stripes=4)
+        engine = DeferredVerificationEngine(
+            CheckPolicy(interval=1, correct=False, stripes=4)
+        )
+        x = np.ones(matrix.n_cols)
         for _ in range(8):  # two full rotations of due accesses
-            verify_matrix(pmat, policy)
-        assert policy.stats.stripe_checks == 8
-        assert policy.stats.full_checks == 0
+            engine.spmv(pmat, x)
+        assert engine.stats.stripe_checks == 8
+        assert engine.stats.full_checks == 0
         f64_to_u64(pmat.values)[5] ^= np.uint64(1) << np.uint64(9)
         with pytest.raises(DetectedUncorrectableError):
             for _ in range(4):  # at most one rotation until the stripe hits
-                verify_matrix(pmat, policy)
+                engine.spmv(pmat, x)
         with pytest.raises(DetectedUncorrectableError):
-            verify_matrix(pmat, policy, force=True)  # sweep is always full
-        assert policy.stats.full_checks == 1
-
-    def test_coo_wrapper_falls_back_to_full_checks(self):
-        """Containers without check_stripe still verify (full, not crash)."""
-        from repro.csr.coo import COOMatrix
-        from repro.protect.coo_elements import ProtectedCOOMatrix
-        from repro.protect.kernels import verify_matrix
-
-        csr = make_matrix()
-        dense_rows = np.repeat(
-            np.arange(csr.n_rows, dtype=np.uint32), np.diff(csr.rowptr.astype(np.int64))
-        )
-        coo = COOMatrix(dense_rows, csr.colidx.copy(), csr.values.copy(), csr.shape)
-        pmat = ProtectedCOOMatrix(coo, "secded128")
-        policy = CheckPolicy(interval=1, correct=False, stripes=3)
-        for _ in range(3):
-            verify_matrix(pmat, policy)
-        assert policy.stats.full_checks == 3
-        assert policy.stats.stripe_checks == 0
-
-    def test_policy_stripe_cursor_resets(self):
-        policy = CheckPolicy(interval=1, stripes=3)
-        assert [policy.next_stripe() for _ in range(4)] == [0, 1, 2, 0]
-        policy.reset()
-        assert policy.next_stripe() == 0
+            engine.verify_matrix(pmat)  # a forced sweep is always full
+        assert engine.stats.full_checks == 1
 
     def test_policy_rejects_bad_stripes(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,6 @@ from repro.csr import (
     csr_from_scipy,
     five_point_operator,
     row_dot,
-    spmv,
-    spmv_fixed_width,
 )
 
 
@@ -93,13 +91,6 @@ class TestSpMV:
         assert res is out
         assert np.allclose(out, [1, 2, 3])
 
-    def test_fixed_width_path_matches_general(self):
-        op = five_point_operator(6, 5, np.ones((5, 6)), np.ones((5, 6)), 0.3)
-        x = np.random.default_rng(3).standard_normal(30)
-        general = spmv(op.values, op.colidx, op.rowptr, x, 30)
-        fixed = spmv_fixed_width(op.values, op.colidx, x, 5)
-        assert np.allclose(general, fixed)
-
     def test_row_dot_matches(self):
         rng = np.random.default_rng(4)
         ours, theirs = random_csr(rng, m=10, n=10)
@@ -114,7 +105,7 @@ class TestSpMV:
 class TestFivePointOperator:
     def test_five_entries_every_row(self):
         op = five_point_operator(4, 3, np.ones((3, 4)), np.ones((3, 4)), 0.1)
-        assert op.is_fixed_width() == 5
+        assert np.all(op.row_lengths() == 5)
         assert op.nnz == 5 * 12
 
     def test_symmetry(self):
@@ -177,7 +168,6 @@ class TestMatrixHelpers:
     def test_row_lengths(self):
         mat = csr_from_dense(np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]]))
         assert np.array_equal(mat.row_lengths(), [2, 0, 1])
-        assert mat.is_fixed_width() is None
 
     def test_copy_is_independent(self):
         mat = csr_from_dense(np.eye(2))

@@ -18,7 +18,6 @@ from repro.protect import (
     DeferredVerificationEngine,
     ProtectedCSRMatrix,
     ProtectedVector,
-    protected_spmv,
 )
 from repro.solvers.cg import protected_cg_run
 from repro.solvers.ppcg import ppcg_solve, protected_ppcg_run
@@ -265,15 +264,21 @@ class TestFusedKernels:
         engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=False))
         pmat.colidx[0] ^= np.uint32(1) << np.uint32(2)
         with pytest.raises(DetectedUncorrectableError):
-            protected_spmv(pmat, np.ones(matrix.n_cols), engine=engine)
+            engine.spmv(pmat, np.ones(matrix.n_cols))
 
-    def test_fused_kernels_keep_eager_path_without_engine(self):
+    def test_vector_operand_flip_caught_at_next_scheduled_check(self):
         matrix = make_matrix()
         pmat = ProtectedCSRMatrix(matrix, "sed", "sed")
         vec = ProtectedVector(np.ones(matrix.n_cols), "sed")
+        engine = DeferredVerificationEngine(CheckPolicy(interval=2, correct=False))
+        expected = engine.spmv(pmat, vec).copy()  # populates the operand's cache
         f64_to_u64(vec.raw)[3] ^= np.uint64(1) << np.uint64(20)
-        with pytest.raises(DetectedUncorrectableError):
-            protected_spmv(pmat, vec)
+        # Products read the verified cache, never the flipped storage...
+        assert np.array_equal(engine.spmv(pmat, vec), expected)
+        # ...and the vector's next scheduled check (iteration 0) finds it.
+        with pytest.raises(DetectedUncorrectableError) as err:
+            engine.begin_iteration()
+        assert err.value.region == "vector0"
 
 
 class TestDeferredSolvers:

@@ -98,6 +98,59 @@ class TestProtectedOperator:
         assert policy.stats.full_checks == checks_before + 1
 
 
+class TestOperatorIndexFlipAdversary:
+    """A column-index flip pushed out of range right after a due product.
+
+    Between checks the operator gathers through the bounds-validated
+    index snapshot, so the flipped index is never read; the next due
+    access (or the end-of-step sweep) is where the flip surfaces.
+    """
+
+    N = 16  # 256 columns: flipping bit 8 of any stored index overflows it
+    BIT = np.uint32(1) << np.uint32(8)
+
+    def setup(self, scheme, fused):
+        A = five_point_operator(
+            self.N, self.N, np.ones((self.N, self.N)), np.ones((self.N, self.N)), 0.3
+        )
+        pmat = ProtectedCSRMatrix(A, scheme, scheme)
+        op = ProtectedOperator(pmat, CheckPolicy(interval=8, fused_verify=fused))
+        x = np.random.default_rng(9).standard_normal(A.n_cols)
+        y0 = op.matvec(x).copy()  # access 0: due
+        pmat.colidx[37] ^= self.BIT
+        assert int(pmat.colidx[37]) & pmat.elements.index_mask >= A.n_cols
+        return op, x, y0
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("scheme", ["sed", "secded64"])
+    def test_next_due_access_catches_flip(self, scheme, fused):
+        op, x, y0 = self.setup(scheme, fused)
+        for _ in range(7):  # accesses 1..7: not due
+            assert op.matvec(x).tobytes() == y0.tobytes()
+        if scheme == "sed":
+            with pytest.raises(DetectedUncorrectableError):
+                op.matvec(x)  # access 8: due
+        else:
+            assert op.matvec(x).tobytes() == y0.tobytes()
+            assert op.policy.stats.corrected == 1
+            assert op.matrix.check_all()["csr_elements"].clean
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("scheme", ["sed", "secded64"])
+    @pytest.mark.parametrize("nondue", range(1, 8))
+    def test_end_of_step_never_returns_clean(self, scheme, fused, nondue):
+        op, x, y0 = self.setup(scheme, fused)
+        for _ in range(nondue):
+            assert op.matvec(x).tobytes() == y0.tobytes()
+        if scheme == "sed":
+            with pytest.raises(DetectedUncorrectableError):
+                op.end_of_step()
+        else:
+            op.end_of_step()
+            assert op.policy.stats.corrected == 1
+            assert op.matrix.check_all()["csr_elements"].clean
+
+
 class TestMatrixMarketIO:
     def test_roundtrip(self):
         A, _, _ = make_system()

@@ -5,8 +5,8 @@ The contracts pinned here:
 * ``spmv_verified`` is **bitwise identical** to decode-then-SpMV for
   every element scheme — on clean storage, after a correctable flip it
   repaired mid-product, and in its non-fused fallback;
-* an uncorrectable codeword surfaces exactly like ``check_or_raise``:
-  ``y is None`` with the failure in the report, and a
+* an uncorrectable codeword surfaces exactly like a sweep's: ``y is
+  None`` with the failure in the report, and a
   :class:`DetectedUncorrectableError` out of the engine path;
 * the end-of-step sweep verifies exactly the complement of fused
   coverage — matrices whose *last* access was a due fused product are

@@ -1,5 +1,6 @@
 """Harness tests: timing, host overhead measurement, experiment registry."""
 
+import numpy as np
 import pytest
 
 from repro.harness import (
@@ -33,7 +34,7 @@ class TestOverheadMeasurement:
     def test_tealeaf_like_matrix_shape(self):
         m = tealeaf_like_matrix(16)
         assert m.shape == (256, 256)
-        assert m.is_fixed_width() == 5
+        assert np.all(m.row_lengths() == 5)
 
     def test_element_overheads_positive_and_ordered(self):
         out = measure_element_overheads(n=48, iters=2, repeats=2)

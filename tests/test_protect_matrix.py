@@ -1,4 +1,4 @@
-"""ProtectedCSRMatrix, CheckPolicy and protected kernels."""
+"""ProtectedCSRMatrix, CheckPolicy and engine-scheduled products."""
 
 import itertools
 
@@ -10,11 +10,10 @@ from repro.csr import five_point_operator
 from repro.errors import BoundsViolationError, DetectedUncorrectableError
 from repro.protect import (
     CheckPolicy,
+    DeferredVerificationEngine,
     ProtectedCSRMatrix,
     ProtectedVector,
-    protected_spmv,
 )
-from repro.protect.kernels import load_vector
 
 ELEMENT = ["sed", "secded64", "secded128", "crc32c"]
 ROWPTR = ["sed", "secded64", "secded128", "crc32c"]
@@ -75,12 +74,14 @@ class TestChecks:
         reports = prot.check_all()
         assert reports["row_pointer"].n_corrected == 1
 
-    def test_check_or_raise(self):
+    def test_verify_matrix_raises_with_region_name(self):
         prot = ProtectedCSRMatrix(make_matrix(), "sed", "sed")
+        engine = DeferredVerificationEngine()
+        engine.register(prot, "matrix")
         prot.values[3] = 99.0  # SED detects, cannot correct
         with pytest.raises(DetectedUncorrectableError) as err:
-            prot.check_or_raise()
-        assert err.value.region == "csr_elements"
+            engine.verify_matrix(prot)
+        assert err.value.region == "matrix:csr_elements"
 
     def test_bounds_check_passes_clean(self):
         prot = ProtectedCSRMatrix(make_matrix(), "secded64", "secded64")
@@ -141,40 +142,41 @@ class TestPolicy:
 
 
 class TestKernels:
-    def test_protected_spmv_counts_checks(self):
+    def test_spmv_counts_checks(self):
         op = make_matrix()
         prot = ProtectedCSRMatrix(op, "secded64", "secded64")
-        policy = CheckPolicy(interval=2)
+        engine = DeferredVerificationEngine(CheckPolicy(interval=2))
         x = np.ones(op.n_cols)
         for _ in range(6):
-            protected_spmv(prot, x, policy)
-        assert policy.stats.full_checks == 3
-        assert policy.stats.bounds_checks == 3
+            engine.spmv(prot, x)
+        assert engine.stats.full_checks == 3
+        assert engine.stats.bounds_checks == 3
 
-    def test_protected_spmv_corrects_and_matches(self):
+    def test_spmv_corrects_and_matches(self):
         op = make_matrix()
         prot = ProtectedCSRMatrix(op, "secded64", "secded64")
         x = np.random.default_rng(2).standard_normal(op.n_cols)
         expected = op.matvec(x)
         f64_to_u64(prot.values)[8] ^= np.uint64(1) << np.uint64(44)
-        policy = CheckPolicy(interval=1, correct=True)
-        got = protected_spmv(prot, x, policy)
+        engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=True))
+        got = engine.spmv(prot, x)
         assert np.array_equal(got, expected)
-        assert policy.stats.corrected == 1
+        assert engine.stats.corrected == 1
 
-    def test_protected_spmv_raises_on_due(self):
+    def test_spmv_raises_on_due(self):
         op = make_matrix()
         prot = ProtectedCSRMatrix(op, "sed", "sed")
         prot.values[0] = 123.0
+        engine = DeferredVerificationEngine(CheckPolicy(interval=1))
         with pytest.raises(DetectedUncorrectableError):
-            protected_spmv(prot, np.ones(op.n_cols), CheckPolicy(interval=1))
+            engine.spmv(prot, np.ones(op.n_cols))
 
-    def test_protected_spmv_with_protected_vector(self):
+    def test_spmv_with_protected_vector(self):
         op = make_matrix()
         prot = ProtectedCSRMatrix(op, "secded64", "secded64")
         xv = np.random.default_rng(3).standard_normal(op.n_cols)
         px = ProtectedVector(xv, "secded64")
-        got = protected_spmv(prot, px, CheckPolicy(interval=1))
+        got = DeferredVerificationEngine().spmv(prot, px)
         assert np.allclose(got, op.matvec(xv), rtol=1e-12)
 
     def test_protected_dot_and_axpy(self):
@@ -182,10 +184,12 @@ class TestKernels:
         a, b = rng.standard_normal(32), rng.standard_normal(32)
         pa = ProtectedVector(a, "secded64")
         pb = ProtectedVector(b, "secded64")
-        # Check-on-read operands, whole-codeword commit of the result.
-        assert np.dot(load_vector(pa), load_vector(pb)) == np.dot(pa.values(), pb.values())
+        engine = DeferredVerificationEngine()
+        # Decode-free operands, whole-codeword commit of the result.
+        got = np.dot(engine.read(pa), engine.read(pb))
+        assert got == np.dot(pa.values(), pb.values())
         expected = 2.5 * pa.values() + pb.values()
-        pb.store(2.5 * load_vector(pa) + load_vector(pb))
+        engine.write(pb, 2.5 * engine.read(pa) + engine.read(pb))
         # Stored result is the masked version of `expected`.
         assert np.allclose(pb.values(), expected, rtol=1e-12)
         assert pb.check().clean
@@ -193,6 +197,12 @@ class TestKernels:
     def test_axpy_raises_on_corrupt_input(self):
         pa = ProtectedVector(np.ones(8), "sed")
         pb = ProtectedVector(np.ones(8), "sed")
+        engine = DeferredVerificationEngine()
+        engine.read(pa)  # populates (and verifies) the plain cache
         f64_to_u64(pa.raw)[2] ^= np.uint64(1) << np.uint64(20)
+        # Reads are served from the cache, so the flip is never consumed;
+        # it sits in raw storage until the next scheduled check finds it.
+        engine.write(pb, 1.0 * engine.read(pa) + engine.read(pb))
+        assert np.array_equal(pb.values(), np.full(8, 2.0))
         with pytest.raises(DetectedUncorrectableError):
-            pb.store(1.0 * load_vector(pa) + load_vector(pb))
+            engine.begin_iteration()

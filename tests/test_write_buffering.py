@@ -15,11 +15,10 @@ from repro.csr import five_point_operator
 from repro.errors import DetectedUncorrectableError
 from repro.protect import (
     CheckPolicy,
+    DeferredVerificationEngine,
     ProtectedCSRMatrix,
     ProtectedVector,
-    protected_spmv,
 )
-from repro.protect.kernels import load_vector
 
 
 class TestStoreIsStateOblivious:
@@ -70,10 +69,18 @@ class TestCrossRegionScenarios:
         expected = A.matvec(x)
         pmat = ProtectedCSRMatrix(A, "secded64", "secded64")
         px = ProtectedVector(x, "secded64")
+        engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=True))
+        engine.read(px)  # the operand's cache is populated and verified
         f64_to_u64(pmat.values)[10] ^= np.uint64(1) << np.uint64(3)
         f64_to_u64(px.raw)[10] ^= np.uint64(1) << np.uint64(3)
-        got = protected_spmv(pmat, px, CheckPolicy(interval=1, correct=True))
+        got = engine.spmv(pmat, px)
         assert np.allclose(got, expected, rtol=1e-12)
+        assert engine.stats.corrected == 1  # the matrix flip, at the due access
+        # The vector flip was never consumed (reads come from the cache);
+        # the next scheduled vector check corrects it.
+        engine.begin_iteration()
+        assert engine.stats.corrected == 2
+        assert px.check().clean
 
     def test_mixed_schemes_mixed_outcomes(self):
         """SED rowptr (detect-only) + SECDED elements (correcting)."""
@@ -92,8 +99,9 @@ class TestCrossRegionScenarios:
         rng = np.random.default_rng(5)
         x = ProtectedVector(rng.standard_normal(32), "crc32c")
         y = ProtectedVector(rng.standard_normal(32), "crc32c")
+        engine = DeferredVerificationEngine()
         for alpha in (0.5, -1.25, 3.0):
-            y.store(alpha * load_vector(x) + load_vector(y))
+            engine.write(y, alpha * engine.read(x) + engine.read(y))
             assert y.check().clean
 
     def test_due_aborts_before_bad_data_used(self):
@@ -104,5 +112,6 @@ class TestCrossRegionScenarios:
         )
         pmat = ProtectedCSRMatrix(A, "sed", "sed")
         pmat.colidx[0] ^= np.uint32(1) << np.uint32(2)
+        engine = DeferredVerificationEngine(CheckPolicy(interval=1))
         with pytest.raises(DetectedUncorrectableError):
-            protected_spmv(pmat, np.ones(A.n_cols), CheckPolicy(interval=1))
+            engine.spmv(pmat, np.ones(A.n_cols))
