@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.csr.spmv import spmv
+from repro.csr.spmv import _gather_scratch, _row_blocks, spmv
 from repro.csr.validate import validate_structure
 
 
@@ -62,32 +62,38 @@ class CSRMatrix:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sparse matrix-vector product ``A @ x``.
 
-        Runs through per-matrix persistent scratch (widened indices,
-        product and gather buffers), so repeated products allocate
-        nothing proportional to the matrix — solver inner loops stay off
-        the allocator, whose large-block behaviour otherwise dominates
-        (and destabilises) the product's run time.  The stored indices
-        are re-widened and re-range-checked on every call, so mutating
+        Runs :func:`~repro.csr.spmv.spmv` through per-matrix persistent
+        scratch (widened indices, row lengths and a row-block gather
+        buffer), so repeated products allocate nothing proportional to
+        the matrix beyond the row starts of the blocks ``reduceat`` sums
+        (rows of mixed width, or of width outside 3..8) — solver inner
+        loops stay off the allocator, whose large-block behaviour
+        otherwise dominates (and destabilises) the product's run time.  The stored indices are re-widened and re-range-checked,
+        and the row plan re-derived, on every call, so mutating
         ``colidx``/``rowptr`` between products stays safe.
         """
         if self._scratch is None:
-            self._scratch = (
+            self._scratch = [
                 np.empty(self.nnz, dtype=np.int64),
                 np.empty(self.rowptr.size, dtype=np.int64),
-                np.empty(self.nnz, dtype=np.float64),
-                np.empty(min(16384, max(self.nnz, 1)), dtype=np.float64),
                 np.empty(self.n_rows, dtype=np.int64),
-            )
-        col64, ptr64, products, gather, lengths = self._scratch
+                np.empty(0, dtype=np.float64),
+            ]
+        col64, ptr64, lengths, gather = self._scratch
         np.copyto(col64, self.colidx, casting="same_kind")
         np.copyto(ptr64, self.rowptr, casting="same_kind")
         if col64.size and int(col64.max()) >= self.n_cols:
             raise IndexError(
                 f"column index out of range for {self.n_cols} columns"
             )
+        np.subtract(ptr64[1:], ptr64[:-1], out=lengths)
+        plan = _row_blocks(ptr64, self.nnz, lengths)
+        gather = self._scratch[3] = _gather_scratch(
+            plan, np.shape(x)[:-1], gather
+        )
         return spmv(
             self.values, col64, ptr64, x, self.n_rows, out=out,
-            products=products, gather=gather, lengths=lengths,
+            gather=gather, plan=plan,
         )
 
     def diagonal(self) -> np.ndarray:

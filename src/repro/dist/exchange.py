@@ -182,6 +182,8 @@ class ShardPool:
         self.boot_s = 0.0
         self.wait_s = 0.0
         self.links: list[ShardLink] = [None] * len(self._payloads)
+        # perf_counter() at each worker's latest start-up announcement.
+        self._announced_at: list[float | None] = [None] * len(self._payloads)
         try:
             self._boot(range(len(self._payloads)))
         except BaseException:
@@ -225,9 +227,11 @@ class ShardPool:
             ready = wait(list(waiting), max(deadline - time.perf_counter(), 0.0))
             if not ready:
                 return
+            arrived = time.perf_counter()
             for index in {waiting[obj] for obj in ready}:
                 link = self.links[index]
-                link.try_recv()  # the announcement, unless it died first
+                if link.try_recv() == _STARTED:  # unless it died first
+                    self._announced_at[index] = arrived
                 del waiting[link.conn], waiting[link.process.sentinel]
 
     @property

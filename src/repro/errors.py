@@ -47,11 +47,18 @@ class DetectedUncorrectableError(ABFTError):
         Which protected structure reported the error (e.g. ``"csr_elements"``).
     indices:
         Codeword indices (within the region) that failed the check.
+    counters:
+        The raising engine's check counters at the detection (a dict of
+        :class:`~repro.protect.policy.PolicyStats` fields), so a solve
+        cut short by a DUE still reports how much verification ran;
+        ``None`` when no engine raised it.
     """
 
-    def __init__(self, region: str, indices=None, message: str | None = None):
+    def __init__(self, region: str, indices=None, message: str | None = None,
+                 counters: dict | None = None):
         self.region = region
         self.indices = indices
+        self.counters = counters
         if message is None:
             message = f"uncorrectable corruption detected in region {region!r}"
             if indices is not None:

@@ -37,6 +37,8 @@ which embedded-ECC schemes never claimed to cover.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.errors import ConfigurationError, DetectedUncorrectableError
@@ -299,7 +301,8 @@ class DeferredVerificationEngine:
             stats.uncorrectable += report.n_uncorrectable
             if not report.ok:
                 raise DetectedUncorrectableError(
-                    f"{name}:{region}", report.uncorrectable_indices()[:8].tolist()
+                    f"{name}:{region}", report.uncorrectable_indices()[:8].tolist(),
+                    counters=dataclasses.asdict(stats),
                 )
 
     def verify_vector(self, vector: ProtectedVector) -> None:
@@ -348,7 +351,8 @@ class DeferredVerificationEngine:
                 self.recovery.note_vector_repaired()
                 return
         raise DetectedUncorrectableError(
-            name, report.uncorrectable_indices()[:8].tolist()
+            name, report.uncorrectable_indices()[:8].tolist(),
+            counters=dataclasses.asdict(self.policy.stats),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

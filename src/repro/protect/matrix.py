@@ -9,38 +9,29 @@ the sum of the overheads of the two techniques".
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.csr.matrix import CSRMatrix
-from repro.csr.spmv import reduce_rows, spmv
+from repro.csr.spmv import _gather_scratch, _row_blocks, spmv
 from repro.ecc.base import CheckReport
-from repro.ecc.secded_kernels import CHUNK, _chunk_screen_split
+from repro.ecc.secded_kernels import _chunk_screen_split
 from repro.errors import BoundsViolationError
 from repro.protect.csr_elements import ProtectedCSRElements
 from repro.protect.row_pointer import ProtectedRowPointer
 
 
-def _fused_gather_verify(
-    code, values, colidx, x, index_mask, n_cols, col64, products, gather
-):
-    """Single-pass syndrome + decode + gather + multiply over one-element codewords.
+def _fused_verify(code, values, colidx, index_mask, n_cols, col64):
+    """Single-pass syndrome + decode + bounds check over one-element codewords.
 
-    The verify-in-SpMV primitive behind
-    :meth:`ProtectedCSRMatrix.spmv_verified`.  Per cache-blocked chunk:
-    widen the stored colidx lane once into the scratch, run the
-    grid-aggregate screen (:func:`~repro.ecc.secded_kernels._chunk_screen_split`)
-    over the (value word, widened index) pairs, and — when the chunk
-    screens clean — strip the redundancy bits (``colidx & index_mask``),
-    bounds-check against ``n_cols``, gather ``x`` and multiply into
-    ``products``, filling ``col64[:nnz]`` on the way, all through
-    persistent buffers.  The screen, decode and bounds check never look
-    at the operand, so one pass covers every leading row of ``x``; clean
-    chunks gather through a contiguous ``(..., n)`` view of the flat
-    ``gather`` scratch (contiguity keeps ``np.take(..., axis=-1, out=)``
-    on its non-buffering path) and broadcast-multiply into
-    ``products[..., lo:hi]``.  Dirty or out-of-range chunks are skipped
+    The verify half of :meth:`ProtectedCSRMatrix.spmv_verified`.  Per
+    cache-blocked chunk: widen the stored colidx lane once into the
+    scratch, run the grid-aggregate screen
+    (:func:`~repro.ecc.secded_kernels._chunk_screen_split`) over the
+    (value word, widened index) pairs, and — when the chunk screens
+    clean — strip the redundancy bits (``colidx & index_mask``) into
+    ``col64[lo:hi]`` and bounds-check them against ``n_cols``.  The pass
+    never looks at the operand: the product then gathers through the
+    snapshot it has filled.  Dirty or out-of-range chunks are skipped
     and returned as ``[lo, hi)`` windows for the container's scalar
     correction path (which re-screens them with exact per-element
     syndromes); ``[]`` means everything was clean.
@@ -48,8 +39,6 @@ def _fused_gather_verify(
     scratch = code.scratch
     vwords = values.view(np.uint64)
     nnz = values.size
-    lead = x.shape[:-1]
-    k = math.prod(lead)
     mask64 = np.uint64(index_mask)
     bad: list[tuple[int, int]] = []
     for lo in range(0, nnz, scratch.chunk):
@@ -65,12 +54,6 @@ def _fused_gather_verify(
         np.copyto(col, lane, casting="same_kind")
         if int(col.max(initial=0)) >= n_cols:
             bad.append((lo, hi))
-            continue
-        g = gather[: k * n].reshape(lead + (n,))
-        # mode="clip" skips numpy's internal bounce buffer; the
-        # max() screen above already guarantees in-range indices.
-        np.take(x, col, axis=-1, out=g, mode="clip")
-        np.multiply(values[lo:hi], g, out=products[..., lo:hi])
     return bad
 
 
@@ -139,17 +122,15 @@ class ProtectedCSRMatrix:
         self._col64: np.ndarray | None = None
         self._ptr64: np.ndarray | None = None
         self._ptr_diff: np.ndarray | None = None
+        # The product's row plan, derived from the snapshot's row
+        # pointer each time that is (re)populated.
+        self._plan = None
         self._views_valid = False
         self._diagonal: np.ndarray | None = None
-        # Persistent SpMV product scratch: per-element products plus one
-        # cache-block gather buffer per leading element of the operand,
-        # so every engine-mediated product (fused or not) runs
-        # allocation-free after warm-up.  One flat pair sized for the
-        # widest operand seen; each leading shape gets cached views of it.
-        self._products: np.ndarray | None = None
-        self._gather: np.ndarray | None = None
-        self._scratch_views: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._row_lengths: np.ndarray | None = None
+        # Persistent SpMV gather scratch, one row block per leading
+        # element of the operand (grown to the widest operand seen), so
+        # every engine-mediated product runs allocation-free after warm-up.
+        self._gather = np.empty(0, dtype=np.float64)
 
     # ------------------------------------------------------------------
     @property
@@ -277,6 +258,7 @@ class ProtectedCSRMatrix:
             self.elements.colidx_clean64(self._col64)
             self.rowptr_protected.clean64(self._ptr64)
             self._validate_snapshot()
+            self._plan_rows()
             self._views_valid = True
         return self._col64, self._ptr64
 
@@ -296,6 +278,10 @@ class ProtectedCSRMatrix:
             np.subtract(ptr[1:], ptr[:-1], out=self._ptr_diff)
             if int(self._ptr_diff.min()) < 0:
                 raise BoundsViolationError("row_pointer")
+
+    def _plan_rows(self) -> None:
+        """Derive the product's row plan from the validated row pointer."""
+        self._plan = _row_blocks(self._ptr64, self.nnz, self._ptr_diff)
 
     def _validate_snapshot(self) -> None:
         """The once-per-population range check guarding the snapshot."""
@@ -325,35 +311,22 @@ class ProtectedCSRMatrix:
             self._diagonal = view.diagonal()
         return self._diagonal
 
-    def _spmv_scratch(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The persistent ``(products, gather)`` scratch for one operand shape.
+    def _spmv_scratch(self, lead: tuple[int, ...]) -> np.ndarray:
+        """The persistent gather scratch for one operand shape.
 
         ``lead`` is the operand's leading shape (``()`` for a vector,
-        ``(k,)`` for a block of right-hand sides): ``products`` is
-        ``lead + (nnz,)`` and ``gather`` flat, one cache-block chunk per
-        leading element — per-chunk contiguous views of it keep
-        ``np.take(..., axis=-1, out=)`` on NumPy's non-buffering path.
-        Both are views of one flat pair that only ever grows (to the
-        widest operand seen), so a session alternating solo and blocked
-        solves on one matrix — serve's blocked group, then the
-        job-by-job rest — reallocates nothing on the switch, and every
-        solve runs allocation-free after warm-up.
+        ``(k,)`` for a block of right-hand sides); the scratch holds one
+        row block of the plan (``span`` entries) per leading element,
+        and :func:`repro.csr.spmv.spmv` gathers and multiplies each
+        block into a contiguous view of it.  Nothing is nnz-sized.  The
+        flat buffer only ever grows (to the widest operand seen), so a
+        session alternating solo and blocked solves on one matrix —
+        serve's blocked group, then the job-by-job rest — reallocates
+        nothing on the switch, and every solve runs allocation-free
+        after warm-up.
         """
-        views = self._scratch_views.get(lead)
-        if views is None:
-            k = math.prod(lead)
-            chunk = min(CHUNK, max(self.nnz, 1))
-            if self._gather is None or self._gather.size < k * chunk:
-                self._products = np.empty(k * self.nnz, dtype=np.float64)
-                self._gather = np.empty(k * chunk, dtype=np.float64)
-                self._scratch_views.clear()
-            views = self._scratch_views[lead] = (
-                self._products[: k * self.nnz].reshape(lead + (self.nnz,)),
-                self._gather[: k * chunk],
-            )
-        if self._row_lengths is None:
-            self._row_lengths = np.empty(self.n_rows, dtype=np.int64)
-        return views
+        self._gather = _gather_scratch(self._plan, lead, self._gather)
+        return self._gather
 
     def matvec_unchecked(
         self, x: np.ndarray, out: np.ndarray | None = None
@@ -362,14 +335,12 @@ class ProtectedCSRMatrix:
 
         ``x`` is ``(..., n_cols)`` — a vector, or a block with one
         right-hand side per row; row ``j`` of a blocked result is
-        bitwise identical to the 1-D call on ``x[j]`` (same gather
-        arithmetic, same left-to-right row reduction).  The
-        gather/multiply of :func:`repro.csr.spmv.spmv` runs through the
-        matrix's persistent product scratch, so the inner loop allocates
-        nothing once ``out`` is supplied.
+        bitwise identical to the 1-D call on ``x[j]``.  Runs
+        :func:`repro.csr.spmv.spmv` over the snapshot's row plan and
+        the matrix's persistent gather scratch, so the inner loop
+        allocates nothing once ``out`` is supplied.
         """
         colidx, rowptr = self.clean_views()
-        products, gather = self._spmv_scratch(np.shape(x)[:-1])
         return spmv(
             self.elements.values,
             colidx,
@@ -377,9 +348,8 @@ class ProtectedCSRMatrix:
             x,
             self.n_rows,
             out=out,
-            products=products,
-            gather=gather,
-            lengths=self._row_lengths,
+            gather=self._spmv_scratch(np.shape(x)[:-1]),
+            plan=self._plan,
         )
 
     def supports_fused_verify(self) -> bool:
@@ -403,30 +373,33 @@ class ProtectedCSRMatrix:
 
         Returns ``(y, reports)`` where ``reports`` maps region name to
         its :class:`~repro.ecc.base.CheckReport`, exactly like
-        :meth:`check_all` — but the element verification happened *inside*
-        the matrix-vector product: per cache-blocked chunk the kernel
-        computes syndromes over the ``(value, index)`` lanes it is about
-        to consume, decodes the clean indices, gathers and multiplies in
-        the same pass.  Chunks that screen dirty detour through the
-        container's correcting cold path and are re-gathered; an
-        uncorrectable codeword yields ``y is None`` with the failure in
-        the report (the engine raises on it).
+        :meth:`check_all` — but the element verification is part of the
+        product: one pass per cache-blocked chunk computes syndromes over
+        the ``(value, index)`` lanes the product is about to consume and
+        decodes and bounds-checks the clean indices into the index
+        snapshot (re-deriving the row plan from the freshly verified row
+        pointer).  Chunks that screen dirty detour through the
+        container's correcting cold path, which refills their slice of
+        the snapshot from corrected storage; an uncorrectable codeword
+        yields ``y is None`` with the failure in the report (the engine
+        raises on it).  Once every chunk has passed, the product is
+        :meth:`matvec_unchecked` through the snapshot just validated — the
+        same kernel as every non-due product, in the same call, so no
+        value is consumed between its check and its use.
 
         ``x`` is ``(..., n_cols)``.  For a ``(k, n_cols)`` block each
-        codeword chunk is syndromed **once**, then gathered and
-        multiplied against all ``k`` right-hand sides — the verification
-        cost of one product buys ``k`` verified products — and row ``j``
-        of the result is bitwise identical to the 1-D call on ``x[j]``
-        (same screen decisions, same gather arithmetic, same row
-        reduction).
+        codeword chunk is syndromed **once** for all ``k`` right-hand
+        sides — the verification cost of one product buys ``k`` verified
+        products — and row ``j`` of the result is bitwise identical to
+        the 1-D call on ``x[j]``.
 
-        On success the validated index snapshot is refreshed as a side
-        effect (the fused pass decoded and bounds-checked every index),
-        so follow-up non-due products reuse it with zero extra work.
+        On success the validated snapshot stays in place, so follow-up
+        non-due products reuse it with zero extra work.
 
-        Falls back to verify-then-multiply over the same persistent
-        buffers when :meth:`supports_fused_verify` is false for this
-        scheme — same results, same reports, two passes instead of one.
+        Falls back to verify-then-multiply over the same kernel when
+        :meth:`supports_fused_verify` is false for this scheme — same
+        results, same reports, a whole-container check instead of the
+        chunk screen.
         """
         if not self.supports_fused_verify():
             rp_report = self.rowptr_protected.check(correct=correct)
@@ -442,10 +415,10 @@ class ProtectedCSRMatrix:
             return self.matvec_unchecked(x, out=out), reports
 
         el = self.elements
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        lead = x.shape[:-1]
-        products, gather = self._spmv_scratch(lead)
         self._snapshot_buffers()
+        # The pass below refills the snapshot in place; it is the
+        # validated one again only once every check has passed.
+        self._views_valid = False
         rp_report = self.rowptr_protected.verify_and_clean64(
             self._ptr64, correct=correct
         )
@@ -456,39 +429,31 @@ class ProtectedCSRMatrix:
         if rp_report.n_corrected:
             self._diagonal = None
         self._validate_rowptr()
+        self._plan_rows()
 
-        bad = _fused_gather_verify(
-            el.fused_code(), el.values, el.colidx, x,
-            el.index_mask, self.n_cols, self._col64, products, gather,
+        bad = _fused_verify(
+            el.fused_code(), el.values, el.colidx,
+            el.index_mask, self.n_cols, self._col64,
         )
-        reports["csr_elements"] = self._fused_cold_path(bad, x, products, correct)
+        reports["csr_elements"] = self._fused_cold_path(bad, correct)
         if not reports["csr_elements"].ok:
             self.invalidate_clean_views()
             return None, reports
         # Every index was decoded from verified storage and bounds-checked
         # chunk by chunk: the snapshot this pass filled is the validated one.
         self._views_valid = True
-        if out is None:
-            out = np.empty(lead + (self.n_rows,), dtype=np.float64)
-        return reduce_rows(
-            products, self._ptr64, out, lengths=self._row_lengths
-        ), reports
+        return self.matvec_unchecked(x, out=out), reports
 
     def _fused_cold_path(
-        self,
-        bad: list[tuple[int, int]],
-        x: np.ndarray,
-        products: np.ndarray,
-        correct: bool,
+        self, bad: list[tuple[int, int]], correct: bool
     ) -> CheckReport:
-        """Re-check, correct and re-gather the windows a fused pass flagged.
+        """Re-check, correct and re-decode the windows a fused pass flagged.
 
-        The fused kernel skips dirty (or out-of-range) chunks wholesale;
+        The fused pass skips dirty (or out-of-range) chunks wholesale;
         here each flagged ``[lo, hi)`` window goes through the
         container's scalar correction path, and — when it comes back
-        trustworthy — its slice of the decoded-index/product buffers is
-        refilled from the corrected storage (one broadcast multiply per
-        window covers every leading row of ``x``).  Returns the
+        trustworthy — its slice of the index snapshot is refilled from
+        the corrected storage and bounds-checked.  Returns the
         whole-container element report (compact all-OK when nothing was
         flagged).
         """
@@ -505,7 +470,7 @@ class ProtectedCSRMatrix:
             window_report = el.check(correct=correct, window=(lo, hi))
             parts.append(window_report)
             pos = hi
-            if not (correct and window_report.ok):
+            if not window_report.ok:
                 continue
             col = self._col64[lo:hi]
             np.copyto(col, el.colidx[lo:hi], casting="same_kind")
@@ -514,7 +479,6 @@ class ProtectedCSRMatrix:
                 # Corruption aliased to a clean-looking codeword with an
                 # out-of-range index: surface it as the range-check DUE.
                 raise BoundsViolationError("csr_elements")
-            np.multiply(el.values[lo:hi], x[..., col], out=products[..., lo:hi])
         if pos < el.n_codewords:
             parts.append(CheckReport.all_ok(el.n_codewords - pos))
         return CheckReport.concat(parts)

@@ -13,6 +13,7 @@ from repro.csr import (
     csr_from_scipy,
     five_point_operator,
     row_dot,
+    spmv,
 )
 
 
@@ -93,13 +94,12 @@ class TestSpMV:
 
     def test_row_dot_matches(self):
         rng = np.random.default_rng(4)
-        ours, theirs = random_csr(rng, m=10, n=10)
+        ours, _ = random_csr(rng, m=10, n=10)
         x = rng.standard_normal(10)
-        full = theirs @ x
+        full = spmv(ours.values, ours.colidx, ours.rowptr, x, ours.n_rows)
         for row in range(10):
-            assert np.isclose(
-                row_dot(ours.values, ours.colidx, ours.rowptr, row, x), full[row]
-            )
+            got = row_dot(ours.values, ours.colidx, ours.rowptr, row, x)
+            assert np.float64(got).tobytes() == full[row].tobytes()
 
 
 class TestFivePointOperator:

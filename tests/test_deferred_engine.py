@@ -7,6 +7,8 @@ detected (or corrected) at the next scheduled check — never silently
 consumed past the end-of-step sweep.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,16 @@ class TestMidWindowDetection:
                 fired.append(engine.begin_iteration())
                 engine.read(vec)
         assert fired == [False, False, False]
+
+    def test_vector_due_carries_the_engine_counters(self):
+        engine = DeferredVerificationEngine(CheckPolicy(interval=1, correct=False))
+        vec = engine.register(ProtectedVector(np.ones(32), "secded64"), "r")
+        engine.begin_iteration()
+        f64_to_u64(vec.raw)[7] ^= np.uint64(1) << np.uint64(30)
+        with pytest.raises(DetectedUncorrectableError) as caught:
+            engine.verify_vector(vec)
+        assert caught.value.counters["vector_checks"] == engine.stats.vector_checks
+        assert caught.value.counters == dataclasses.asdict(engine.stats)
 
     def test_vector_flip_corrected_at_next_scheduled_check(self):
         policy = CheckPolicy(interval=1, correct=True, vector_interval=4)

@@ -192,21 +192,18 @@ class TestBoot:
         # Payloads too big for the pipe's buffer, as real ones are: the
         # hand-over blocks until the worker reads it, so a pool booting
         # its workers one after another pays every slow start in turn.
-        def boot(n_shards):
-            payloads = [{"role": "echo", "ballast": bytes(4 << 20)}] * n_shards
-            t0 = time.perf_counter()
-            with ShardPool(payloads, runner=SLOW_BOOT_RUNNER) as pool:
-                replies, dead = pool.roundtrip(ping(0))
-                assert dead == [] and len(replies) == n_shards
-                return time.perf_counter() - t0, pool.boot_s
-
-        # Measured against one worker's boot on this machine (interpreter
-        # plus imports plus the sleep), not an absolute number: in turn,
-        # two would cost 2x; side by side, barely more than one.
-        one, _ = boot(1)
-        two, boot_s = boot(2)
-        assert two < 1.6 * one
-        assert SLOW_BOOT_SECONDS <= boot_s < two
+        payloads = [{"role": "echo", "ballast": bytes(4 << 20)}] * 2
+        t0 = time.perf_counter()
+        with ShardPool(payloads, runner=SLOW_BOOT_RUNNER) as pool:
+            replies, dead = pool.roundtrip(ping(0))
+            total = time.perf_counter() - t0
+            assert dead == [] and len(replies) == 2
+        # The pool's own clock: started side by side, both workers announce
+        # together; booted in turn, the second could not announce before
+        # the first had slept through its slow start and read its payload.
+        first, second = sorted(pool._announced_at)
+        assert second - first < SLOW_BOOT_SECONDS
+        assert SLOW_BOOT_SECONDS <= pool.boot_s < total
 
     def test_unpicklable_payload_strands_no_worker(self):
         before = multiprocessing.active_children()

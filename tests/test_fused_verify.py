@@ -27,7 +27,7 @@ import pytest
 
 from repro.bits.float_bits import f64_to_u64
 from repro.csr.build import five_point_operator
-from repro.errors import DetectedUncorrectableError
+from repro.errors import BoundsViolationError, DetectedUncorrectableError
 from repro.protect.config import ProtectionConfig
 from repro.protect.matrix import ProtectedCSRMatrix
 from repro.solvers import JacobiPreconditioner, get_method
@@ -131,6 +131,19 @@ class TestBitwiseParity:
             assert report.ok and fused_reports[region].ok
             assert report.n_codewords == fused_reports[region].n_codewords
         assert np.array_equal(y_fused, y_plain)
+
+    @pytest.mark.parametrize("correct", [True, False])
+    def test_valid_codeword_with_out_of_range_index_raises(self, correct):
+        """A codeword re-encoded around an out-of-range index checks clean
+        but fails the window's bounds check — with or without correction
+        the flagged window is re-decoded and the range-check DUE raised,
+        never a product through the stale snapshot."""
+        pmat = ProtectedCSRMatrix(make_matrix(), "secded64", "secded64")
+        pmat.colidx[23] = np.uint32(pmat.n_cols)
+        pmat.elements.encode()
+        assert pmat.elements.check(correct=False).ok
+        with pytest.raises(BoundsViolationError):
+            pmat.spmv_verified(np.ones(pmat.n_cols), correct=correct)
 
     def test_snapshot_refreshed_on_fused_success(self):
         pmat = ProtectedCSRMatrix(make_matrix(), "secded64", "secded64")

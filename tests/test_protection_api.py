@@ -13,7 +13,12 @@ import pytest
 
 import repro
 from repro.csr import five_point_operator
-from repro.errors import BoundsViolationError, ConfigurationError
+from repro.bits.float_bits import f64_to_u64
+from repro.errors import (
+    BoundsViolationError,
+    ConfigurationError,
+    DetectedUncorrectableError,
+)
 from repro.protect import (
     CheckPolicy,
     DeferredVerificationEngine,
@@ -395,6 +400,26 @@ class TestPreconditionedCG:
 
 
 class TestProtectionSession:
+    def test_due_out_of_solve_carries_the_engine_counters(self):
+        """Two flips in one codeword mid-solve: the DUE the next fused
+        check raises carries the engine's check counters at the raise."""
+        A, b, _ = make_system(n=16)
+        session = ProtectionSession(ProtectionConfig.deferred(window=16))
+        pmat = session.wrap_matrix(A)
+        iteration = iter(range(10**6))
+
+        def flip_at_five():
+            if next(iteration) == 5:
+                f64_to_u64(pmat.values)[11] ^= np.uint64(0b11) << np.uint64(33)
+
+        session.engine.add_iteration_hook(flip_at_five)
+        with pytest.raises(DetectedUncorrectableError) as caught:
+            repro.solve(pmat, b, protection=session, eps=1e-24)
+        counters = caught.value.counters
+        assert counters["full_checks"] >= 1
+        assert counters["uncorrectable"] >= 1
+        assert counters == dataclasses.asdict(session.stats)
+
     def test_one_engine_across_solves(self):
         A, b, x_true = make_system()
         session = ProtectionSession(ProtectionConfig.deferred(window=16))
