@@ -68,9 +68,12 @@ class CSRMatrix:
         the matrix beyond the row starts of the blocks ``reduceat`` sums
         (rows of mixed width, or of width outside 3..8) — solver inner
         loops stay off the allocator, whose large-block behaviour
-        otherwise dominates (and destabilises) the product's run time.  The stored indices are re-widened and re-range-checked,
-        and the row plan re-derived, on every call, so mutating
-        ``colidx``/``rowptr`` between products stays safe.
+        otherwise dominates (and destabilises) the product's run time.
+        The stored indices are re-widened and re-range-checked on every
+        call, and the row plan is kept with a copy of the row pointer it
+        was derived from and re-derived whenever ``rowptr`` no longer
+        equals that copy, so mutating ``colidx``/``rowptr`` between
+        products stays safe.
         """
         if self._scratch is None:
             self._scratch = [
@@ -78,16 +81,20 @@ class CSRMatrix:
                 np.empty(self.rowptr.size, dtype=np.int64),
                 np.empty(self.n_rows, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
+                None,  # the row plan ...
+                None,  # ... and the rowptr it was derived from
             ]
-        col64, ptr64, lengths, gather = self._scratch
+        col64, ptr64, lengths, gather, plan, plan_ptr = self._scratch
         np.copyto(col64, self.colidx, casting="same_kind")
-        np.copyto(ptr64, self.rowptr, casting="same_kind")
         if col64.size and int(col64.max()) >= self.n_cols:
             raise IndexError(
                 f"column index out of range for {self.n_cols} columns"
             )
-        np.subtract(ptr64[1:], ptr64[:-1], out=lengths)
-        plan = _row_blocks(ptr64, self.nnz, lengths)
+        if plan is None or not np.array_equal(self.rowptr, plan_ptr):
+            np.copyto(ptr64, self.rowptr, casting="same_kind")
+            np.subtract(ptr64[1:], ptr64[:-1], out=lengths)
+            plan = self._scratch[4] = _row_blocks(ptr64, self.nnz, lengths)
+            self._scratch[5] = self.rowptr.copy()
         gather = self._scratch[3] = _gather_scratch(
             plan, np.shape(x)[:-1], gather
         )

@@ -100,7 +100,7 @@ def run(args) -> int:
           f"{result.iterations} iters, converged={result.converged}, "
           f"residual {result.final_residual:.3e}, "
           f"{stats['rounds']} rounds, boot {stats['boot_s']:.3f} s, "
-          f"wait {stats['wait_s']:.3f} s")
+          f"wait {stats['wait_s']:.3f} s, {stats['spawned']} spawned")
     print(f"recovery: {stats['deaths']} death(s), {stats['respawns']} "
           f"respawn(s), {stats['restarts']} DUE restart(s), "
           f"{stats['checkpoints']} checkpoint(s), "

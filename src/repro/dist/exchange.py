@@ -33,11 +33,26 @@ announcements before a round is ever timed, so interpreter start-up is
 charged to the boot, never to a round's timeout, and a round timeout
 may be shorter than a spawn.  Everything crossing the pipe — the boot
 payload and every message — must be picklable.
+
+Workers outlive the solve that started them.  :func:`warm_pool` is how
+a solve gets its pool: the process keeps at most one idle pool, and the
+next solve reboots its live workers with fresh payloads (a ``boot`` on
+the same pipe, no interpreter start-up), spawning only the workers that
+are missing or dead and stopping surplus ones when the shard count
+shrinks.  Only a solve that ended cleanly parks its pool: any exception
+out of the solve — a shard death it could not heal, a terminal error
+reply, ``KeyboardInterrupt`` — shuts the pool down, and so does any
+shard death or round timeout the solve recovered from.  Workers are
+daemonic, so an interpreter that exits with a pool parked terminates
+them instead of waiting on their pipes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
+import threading
 import time
 from multiprocessing.connection import wait
 
@@ -82,7 +97,8 @@ class ShardLink:
     and the raw send/receive primitives the pool's rounds are built on.
     The process starts with its pipe end only and announces itself on
     it; the pool then hands it the start-up payload as the first message
-    (see :meth:`ShardPool._boot`).
+    (see :meth:`ShardPool._boot`).  The process is daemonic: a worker
+    left idle in a parked pool must not hold up interpreter exit.
     """
 
     def __init__(self, index: int, runner: str, ctx):
@@ -92,6 +108,7 @@ class ShardLink:
             target=_run_shard,
             args=(resolve_runner(runner), child_conn),
             name=f"repro-dist-shard-{index}",
+            daemon=True,
         )
         self.process.start()
         # The parent must drop its handle on the child end or EOF on the
@@ -160,11 +177,14 @@ class ShardPool:
         Seconds a :meth:`collect` round may wait before alive-but-silent
         shards are terminated and reported as dead.
 
-    The pool keeps three counters for the solve's report: ``rounds``
-    (lockstep collects, sub-rounds included), ``boot_s`` (seconds from
-    starting worker processes to their payloads being handed over,
-    interpreter start-up and respawns included) and ``wait_s`` (seconds
-    the coordinator spent inside :meth:`collect`).
+    The pool keeps four counters for the solve's report, reset by
+    :meth:`reboot`: ``rounds`` (lockstep collects, sub-rounds included),
+    ``boot_s`` (seconds from starting worker processes to their payloads
+    being handed over, interpreter start-up and respawns included),
+    ``wait_s`` (seconds the coordinator spent inside :meth:`collect`)
+    and ``spawned`` (worker processes started).  ``lost`` turns true at
+    the first shard death or kill and stays true: such a pool is never
+    parked for reuse (see :func:`warm_pool`).
     """
 
     def __init__(
@@ -181,7 +201,9 @@ class ShardPool:
         self.rounds = 0
         self.boot_s = 0.0
         self.wait_s = 0.0
-        self.links: list[ShardLink] = [None] * len(self._payloads)
+        self.spawned = 0
+        self.lost = False
+        self.links: list[ShardLink | None] = [None] * len(self._payloads)
         # perf_counter() at each worker's latest start-up announcement.
         self._announced_at: list[float | None] = [None] * len(self._payloads)
         try:
@@ -194,19 +216,22 @@ class ShardPool:
             raise
 
     def _boot(self, indices) -> None:
-        """Start a worker per index, await their start-up, hand each its payload.
+        """Hand each index its payload, starting a worker where there is none.
 
         Three passes on purpose: every ``start()`` returns as soon as the
         child is launched, so all the children import alongside each
         other while the pool waits for their announcements; only then
         do the (payload-sized, hence blocking) ``boot`` sends go out.
         The first round after a (re)boot therefore times the shards'
-        work, not their interpreter start-up.
+        work, not their interpreter start-up.  An index whose link is
+        still set is a live released worker: it only gets the send.
         """
         started = time.perf_counter()
-        for index in indices:
+        fresh = [index for index in indices if self.links[index] is None]
+        for index in fresh:
             self.links[index] = ShardLink(index, self._runner, self._ctx)
-        self._await_started(indices, started + _BOOT_TIMEOUT)
+        self.spawned += len(fresh)
+        self._await_started(fresh, started + _BOOT_TIMEOUT)
         for index in indices:
             self.links[index].send(
                 {"cmd": "boot", "payload": self._payloads[index]}
@@ -242,10 +267,45 @@ class ShardPool:
     def respawn(self, index: int) -> None:
         """Replace a dead shard with a fresh worker from its pristine payload."""
         self.links[index].close()
+        self.links[index] = None
         self._boot([index])
+
+    def reboot(self, payloads: list[dict], round_timeout: float) -> None:
+        """Start the next solve on this released pool.
+
+        Resets the ledger, stops the workers beyond ``len(payloads)``,
+        replaces the ones that died while idle, and boots every shard
+        with its new payload — live workers keep their interpreter.
+        """
+        self._payloads = list(payloads)
+        self.round_timeout = float(round_timeout)
+        self.rounds, self.boot_s, self.wait_s, self.spawned = 0, 0.0, 0.0, 0
+        n = len(self._payloads)
+        _stop(self.links[n:])
+        del self.links[n:], self._announced_at[n:]
+        grow = n - len(self.links)
+        self.links += [None] * grow
+        self._announced_at += [None] * grow
+        for index, link in enumerate(self.links):
+            if link is not None and not link.alive():
+                link.close()
+                self.links[index] = None
+        self._boot(range(n))
+
+    def release(self) -> bool:
+        """Tell every worker to drop its shard and wait for a new ``boot``.
+
+        False when a worker is gone or its pipe broken — a pool that
+        cannot be parked.
+        """
+        self._payloads = []  # the blocks are the next solve's to hold
+        sent = [link.alive() and link.send({"cmd": "release"})
+                for link in self.links]
+        return all(sent)
 
     def kill(self, index: int) -> None:
         """Terminate one shard mid-solve — the fault-injection hook."""
+        self.lost = True
         self.links[index].terminate()
 
     def broadcast(self, messages) -> None:
@@ -313,6 +373,7 @@ class ShardPool:
                 pending.discard(index)
         self.rounds += 1
         self.wait_s += time.perf_counter() - started
+        self.lost = self.lost or bool(dead)
         return replies, sorted(dead)
 
     def roundtrip(self, messages) -> tuple[dict[int, dict], list[int]]:
@@ -349,24 +410,8 @@ class ShardPool:
         return [replies[i] for i in range(self.n_shards)]
 
     def shutdown(self) -> None:
-        """Best-effort orderly stop: ask workers to exit, then reap them.
-
-        Every live shard is asked first and the exits are then awaited
-        together against one deadline, so a pool of stubborn workers
-        costs one grace period, not one per shard.
-        """
-        for link in self.links:
-            if link.alive():
-                link.send({"cmd": "shutdown"})
-        deadline = time.perf_counter() + _SHUTDOWN_GRACE
-        exiting = {link.process.sentinel for link in self.links}
-        while exiting:
-            gone = wait(exiting, max(deadline - time.perf_counter(), 0.0))
-            if not gone:
-                break
-            exiting.difference_update(gone)
-        for link in self.links:
-            link.close()
+        """Best-effort orderly stop: ask workers to exit, then reap them."""
+        _stop(self.links)
 
     def __enter__(self) -> "ShardPool":
         """Context-manager entry: the pool itself."""
@@ -375,3 +420,65 @@ class ShardPool:
     def __exit__(self, *exc) -> None:
         """Context-manager exit: always tear the workers down."""
         self.shutdown()
+
+
+def _stop(links) -> None:
+    """Ask every live worker to exit, then reap them all.
+
+    Every live shard is asked first and the exits are then awaited
+    together against one deadline, so a pool of stubborn workers costs
+    one grace period, not one per shard.
+    """
+    links = [link for link in links if link is not None]
+    for link in links:
+        if link.alive():
+            link.send({"cmd": "shutdown"})
+    deadline = time.perf_counter() + _SHUTDOWN_GRACE
+    exiting = {link.process.sentinel for link in links}
+    while exiting:
+        gone = wait(exiting, max(deadline - time.perf_counter(), 0.0))
+        if not gone:
+            break
+        exiting.difference_update(gone)
+    for link in links:
+        link.close()
+
+
+#: The pool parked by the last clean solve, and the pid that parked it
+#: (a forked child must not drive its parent's workers).
+_idle: tuple[int, ShardPool] | None = None
+_idle_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def warm_pool(payloads: list[dict], *, round_timeout: float):
+    """The pool for one solve: the parked one rebooted, else a cold one.
+
+    On a clean exit the pool is released and parked for the next solve
+    unless it lost a shard, a worker is gone, or another solve parked
+    one first (this process keeps one idle pool; the extra one is shut
+    down).  Any exception out of the block shuts the pool down.
+    """
+    global _idle
+    with _idle_lock:
+        parked, _idle = _idle, None
+    pool = parked[1] if parked is not None and parked[0] == os.getpid() else None
+    if pool is None:
+        pool = ShardPool(payloads, round_timeout=round_timeout)
+    else:
+        try:
+            pool.reboot(payloads, round_timeout)
+        except BaseException:
+            pool.shutdown()
+            raise
+    try:
+        yield pool
+    except BaseException:
+        pool.shutdown()
+        raise
+    if not pool.lost and pool.release():
+        with _idle_lock:
+            if _idle is None:
+                _idle = (os.getpid(), pool)
+                return
+    pool.shutdown()

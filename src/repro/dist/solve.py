@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dist.exchange import DEFAULT_ROUND_TIMEOUT, ShardPool
+from repro.dist.exchange import DEFAULT_ROUND_TIMEOUT, ShardPool, warm_pool
 from repro.dist.partition import (
     ErasurePlan,
     PartitionPlan,
@@ -468,11 +468,16 @@ def distributed_solve(
         Seconds one lockstep round may take before an unresponsive shard
         is declared dead (see :mod:`repro.dist.exchange`).
 
+    The workers come from :func:`~repro.dist.exchange.warm_pool`: a
+    solve reuses the processes the previous clean solve left idle and
+    starts only what is missing.
+
     Returns a :class:`~repro.solvers.base.SolverResult` whose ``info``
     carries a ``distributed`` block (shard counts, deaths, respawns,
-    restarts, checkpoints, reconstructions, executed iterations, and the
-    pool's ``rounds`` / ``boot_s`` / ``wait_s`` ledger) plus each shard's
-    own counter block.
+    restarts, checkpoints, reconstructions, executed iterations, this
+    solve's ``rounds`` / ``boot_s`` / ``wait_s`` ledger and ``spawned``,
+    the worker processes it started) plus each shard's own counter
+    block.
     """
     if method != "cg":
         raise ConfigurationError(
@@ -526,7 +531,7 @@ def distributed_solve(
     for kill_it, kill_shard in (kill_plan or ()):
         kills.setdefault(int(kill_it), []).append(int(kill_shard))
 
-    with ShardPool(payloads, round_timeout=round_timeout) as pool:
+    with warm_pool(payloads, round_timeout=round_timeout) as pool:
         coord = _Coordinator(plan, pool, recovery, x0, eplan=eplan)
         slices = [plan.slice_vector(x0, s) for s in range(plan.n_shards)]
         if erasure:
@@ -592,11 +597,13 @@ def distributed_solve(
             "fallback_restarts": coord.fallback_restarts,
             "iters_executed": coord.iters_executed,
             "recovery": recovery.strategy if recovery is not None else "raise",
-            # Where the wall time went: lockstep rounds driven, seconds
-            # booting workers, seconds blocked collecting their replies.
+            # Where this solve's wall time went: lockstep rounds driven,
+            # seconds booting workers, seconds blocked collecting their
+            # replies; and how many worker processes it had to start.
             "rounds": pool.rounds,
             "boot_s": pool.boot_s,
             "wait_s": pool.wait_s,
+            "spawned": pool.spawned,
         },
         "shards": [reply["info"] for reply in finish[:plan.n_shards]],
     }

@@ -28,8 +28,14 @@ checkpoint —                               ``x`` — the local x slice
 snapshot   —                               ``x``, ``r``, ``p``, ``w``
 seed       ``x``, ``r``, ``p``, ``w``      every round reply field
 finish     —                               ``x``, ``info`` counter block
+release    —                               (no reply; drops the shard)
 shutdown   —                               (no reply; the worker exits)
 ========== =============================== ================================
+
+A worker outlives its solve: ``release`` drops the :class:`ShardState`
+and the worker waits for the next ``boot``, which may carry a different
+shard of a different matrix.  ``shutdown`` or a closed pipe ends the
+process, whether a shard is booted or not.
 
 ``snapshot``/``seed`` are the erasure-recovery sub-protocol: after a
 shard death the coordinator snapshots every survivor's full solver
@@ -223,40 +229,52 @@ class ShardState:
 
 
 def shard_worker_main(conn) -> None:
-    """The worker-process entry point: serve commands until shutdown.
+    """The worker-process entry point: serve shards until shutdown.
 
     Runs in a spawn-context child (resolved by name through the sweep
-    executor's runner machinery, so it must stay at module scope).  The
-    first message on the pipe is the ``boot`` command carrying this
-    shard's payload (see :class:`ShardState`); it has no reply of its
-    own.  Construction failures and terminal command errors are reported
-    as ``status: "error"`` replies rather than tracebacks on stderr —
-    the coordinator owns surfacing them, a start-up failure as the reply
-    to its first round.
+    executor's runner machinery, so it must stay at module scope).  Each
+    shard starts with the ``boot`` command carrying its payload (see
+    :class:`ShardState`); it has no reply of its own.  Construction
+    failures and terminal command errors are reported as
+    ``status: "error"`` replies rather than tracebacks on stderr — the
+    coordinator owns surfacing them, a start-up failure as the reply to
+    its first round, after which the worker exits.
     """
-    try:
-        boot = conn.recv()
-    except (EOFError, OSError):  # the coordinator left before booting us
-        conn.close()
-        return
-    try:
-        # pop: the payload must die with the constructor's frame, not
-        # live on in this one beside the state built from it.
-        state = ShardState(boot.pop("payload"))
-    except Exception as exc:  # noqa: BLE001 - reported to the coordinator
+    while True:
         try:
-            conn.send({"status": "error", "error": type(exc).__name__,
-                       "message": f"shard start-up failed: {exc}"})
-        finally:
-            conn.close()
-        return
+            boot = conn.recv()
+        except (EOFError, OSError):  # the coordinator left
+            break
+        if boot.get("cmd") != "boot":  # shutdown while released
+            break
+        try:
+            # pop: the payload must die with the constructor's frame,
+            # not live on in this one beside the state built from it.
+            state = ShardState(boot.pop("payload"))
+        except Exception as exc:  # noqa: BLE001 - reported to the coordinator
+            try:
+                conn.send({"status": "error", "error": type(exc).__name__,
+                           "message": f"shard start-up failed: {exc}"})
+            except (BrokenPipeError, OSError):
+                pass
+            break
+        released = _serve(conn, state)
+        del state  # a released worker holds no shard while it waits
+        if not released:
+            break
+    conn.close()
+
+
+def _serve(conn, state: ShardState) -> bool:
+    """Answer commands for one shard; True on ``release``, False to exit."""
     while True:
         try:
             msg = conn.recv()
         except (EOFError, OSError):
-            break
-        if msg.get("cmd") == "shutdown":
-            break
+            return False
+        cmd = msg.get("cmd")
+        if cmd in ("release", "shutdown"):
+            return cmd == "release"
         try:
             reply = state.execute(msg)
             reply.setdefault("status", "ok")
@@ -266,5 +284,4 @@ def shard_worker_main(conn) -> None:
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
-            break
-    conn.close()
+            return False

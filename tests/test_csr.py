@@ -85,6 +85,44 @@ class TestSpMV:
         mat = csr_from_dense(np.zeros((4, 4)))
         assert np.allclose(mat.matvec(np.ones(4)), 0.0)
 
+    def test_rowptr_mutated_between_products_matches_fresh_matrix(self):
+        # The row plan is cached against a copy of the row pointer: a
+        # product after an in-place rowptr edit must not run the old plan.
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(0, 10, size=64)
+        ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.uint32)
+        nnz = int(ptr[-1])
+        mat = CSRMatrix(rng.standard_normal(nnz),
+                        rng.integers(0, 64, size=nnz).astype(np.uint32),
+                        ptr, (64, 64))
+        x = rng.standard_normal(64)
+        before = mat.matvec(x).copy()
+        row = int(np.flatnonzero(lengths)[5])
+        mat.rowptr[row + 1] -= 1  # its last entry moves to the next row
+        fresh = CSRMatrix(mat.values.copy(), mat.colidx.copy(),
+                          mat.rowptr.copy(), mat.shape)
+        after = mat.matvec(x)
+        assert after.tobytes() == fresh.matvec(x).tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_row_plan_is_derived_once_across_products(self, monkeypatch):
+        from repro.csr import matrix as csr_matrix
+
+        calls = []
+        derive = csr_matrix._row_blocks
+        monkeypatch.setattr(csr_matrix, "_row_blocks",
+                            lambda *a: calls.append(1) or derive(*a))
+        rng = np.random.default_rng(6)
+        mat, _ = random_csr(rng, m=40, n=40)
+        x = rng.standard_normal(40)
+        first = mat.matvec(x)
+        for _ in range(4):
+            assert mat.matvec(x).tobytes() == first.tobytes()
+        assert len(calls) == 1
+        mat.rowptr[1:] = mat.rowptr[1:]  # rewritten, not changed
+        mat.matvec(x)
+        assert len(calls) == 1
+
     def test_out_parameter(self):
         mat = csr_from_dense(np.eye(3))
         out = np.empty(3)

@@ -31,10 +31,24 @@ The ISSUE 8 bars stack on top:
   window, erasure does not; wall time is spawn-noise dominated here);
 * a *hung* (not dead) shard surfaces :class:`ShardDeathError` at
   ``round_timeout``, including during the mandatory finish sweep.
+
+The warm pool: a solve reuses the workers the previous clean solve
+parked (``info["distributed"]["spawned"]`` counts the processes a solve
+started — reuse is asserted through it, never through timings), every
+abnormal end parks nothing, and an interpreter with a parked pool exits
+without waiting on it.
 """
 
 import asyncio
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,7 +63,8 @@ from repro.dist import (
     partition_matrix,
     partition_rows,
 )
-from repro.dist.workers import ShardState
+from repro.dist import exchange
+from repro.dist.workers import ShardState, shard_worker_main
 from repro.errors import ConfigurationError, Outcome, ShardDeathError
 from repro.protect.config import ProtectionConfig
 from repro.protect.session import ProtectionSession
@@ -77,6 +92,26 @@ def make_system(grid=8, seed=0):
         grid, grid, rng.uniform(0.5, 2.0, shape), rng.uniform(0.5, 2.0, shape), 0.3
     )
     return matrix, rng.standard_normal(matrix.n_rows)
+
+
+def parked_pool():
+    """The pool the last clean solve parked in this process, or None."""
+    parked = exchange._idle
+    return parked[1] if parked is not None else None
+
+
+def drop_parked_pool():
+    """Shut the parked pool down, so the next solve boots cold."""
+    with exchange._idle_lock:
+        parked, exchange._idle = exchange._idle, None
+    if parked is not None:
+        parked[1].shutdown()
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_parked_pool_outlives_the_module():
+    yield
+    drop_parked_pool()
 
 
 def diagonal_matrix(n=7):
@@ -265,6 +300,25 @@ class TestShardState:
         _matrix, _b, payload = self.payload()
         with pytest.raises(ValueError):
             ShardState(payload).execute({"cmd": "bogus"})
+
+    def test_worker_serves_successive_shards_until_shutdown(self):
+        # The worker loop over a pipe, in a thread: boot, release, boot a
+        # different shard, shutdown.  Each boot answers from its own b.
+        _matrix, b, first = self.payload(grid=4)
+        _matrix, b2, second = self.payload(grid=5)
+        ours, theirs = multiprocessing.Pipe()
+        worker = threading.Thread(target=shard_worker_main, args=(theirs,))
+        worker.start()
+        rrs = []
+        for payload in (first, second):
+            ours.send({"cmd": "boot", "payload": payload})
+            ours.send({"cmd": "residual", "halo": np.empty(0)})
+            rrs.append(ours.recv()["rr"])
+            ours.send({"cmd": "release"})
+        ours.send({"cmd": "shutdown"})
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert rrs == [pytest.approx(float(np.dot(v, v))) for v in (b, b2)]
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +767,163 @@ class TestRegistryRouting:
         matrix, b = make_system(grid=4)
         with pytest.raises(ConfigurationError):
             repro.solve(matrix, b, method="jacobi", distributed=2)
+
+
+# ---------------------------------------------------------------------------
+#: Two distributed solves, then the pids of this interpreter's live spawn
+#: children read from /proc — the parked pool's workers.
+TWO_SOLVES = """
+import json, os, sys
+import numpy as np
+from repro.csr import five_point_operator
+from repro.dist import distributed_solve
+
+def shard_pids():
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = open(f"/proc/{pid}/stat").read().rsplit(")", 1)[1].split()
+            cmdline = open(f"/proc/{pid}/cmdline", "rb").read()
+        except OSError:
+            continue
+        if int(stat[1]) == os.getpid() and b"spawn_main" in cmdline:
+            pids.append(int(pid))
+    return pids
+
+if __name__ == "__main__":
+    rng = np.random.default_rng(0)
+    ones = np.ones((6, 6))
+    matrix = five_point_operator(6, 6, ones, ones, 0.3)
+    b = rng.standard_normal(matrix.n_rows)
+    spawned = [distributed_solve(matrix, b, n_shards=2).info["distributed"]
+               ["spawned"] for _ in range(2)]
+    print(json.dumps([spawned, shard_pids()]))
+"""
+
+
+class TestWarmPool:
+    """Back-to-back solves reuse the parked workers; abnormal ends park none."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        drop_parked_pool()
+
+    def solve(self, matrix, b, **kwargs):
+        return distributed_solve(matrix, b, n_shards=2, eps=1e-18, **kwargs)
+
+    def test_second_solve_spawns_nothing_and_repeats_bitwise(self):
+        matrix, b = make_system(grid=6)
+        first = self.solve(matrix, b)
+        second = self.solve(matrix, b)
+        assert first.info["distributed"]["spawned"] == 2
+        assert second.info["distributed"]["spawned"] == 0
+        np.testing.assert_array_equal(first.x, second.x)
+        # The ledger is this solve's own, not the pool's lifetime total.
+        assert (second.info["distributed"]["rounds"]
+                == first.info["distributed"]["rounds"])
+
+    def test_mixed_configs_on_a_warm_pool_match_cold_solves(self):
+        matrix, b = make_system(grid=8)
+        config = ProtectionConfig.deferred()
+        sequence = (config, None, config)
+        cold = []
+        for protection in sequence:
+            drop_parked_pool()
+            cold.append(self.solve(matrix, b, protection=protection))
+        drop_parked_pool()
+        warm = [self.solve(matrix, b, protection=p) for p in sequence]
+        assert [r.info["distributed"]["spawned"] for r in warm] == [2, 0, 0]
+        for c, w in zip(cold, warm):
+            assert w.info["shards"] == c.info["shards"]
+            np.testing.assert_array_equal(w.x, c.x)
+
+    def test_pool_resizes_with_the_shard_count(self):
+        matrix, b = make_system(grid=6)
+        erasure = ProtectionConfig(
+            correct=False,
+            recovery=RecoveryPolicy(strategy="erasure", erasure_shards=1),
+        )
+        plain = self.solve(matrix, b)
+        encoded = self.solve(matrix, b, protection=erasure)
+        surplus = parked_pool().links[2].process.pid
+        shrunk = self.solve(matrix, b)
+        # The checksum shard is the one new worker; shrinking stops it.
+        assert [r.info["distributed"]["spawned"]
+                for r in (plain, encoded, shrunk)] == [2, 1, 0]
+        assert encoded.info["distributed"]["erasure_shards"] == 1
+        with pytest.raises(ProcessLookupError):  # stopped and reaped
+            os.kill(surplus, 0)
+        reference = cg_solve(matrix, b, eps=1e-18)
+        for result in (plain, encoded, shrunk):
+            assert np.max(np.abs(result.x - reference.x)) < PARITY_TOL
+
+    def test_idle_worker_killed_between_solves_is_replaced(self):
+        matrix, b = make_system(grid=6)
+        first = self.solve(matrix, b)
+        parked_pool().links[0].terminate()
+        second = self.solve(matrix, b)
+        assert second.info["distributed"]["spawned"] == 1
+        np.testing.assert_array_equal(first.x, second.x)
+
+    @pytest.mark.parametrize("end", ["kill", "hang", "bad_payload"])
+    def test_abnormal_end_parks_no_pool(self, end):
+        matrix, b = make_system(grid=6)
+        self.solve(matrix, b)
+        assert parked_pool() is not None
+        if end == "kill":
+            # Recovered, so the solve returns — but its pool lost a shard.
+            result = self.solve(matrix, b, kill_plan=[(3, 1)], protection=(
+                ProtectionConfig(correct=False, recovery=RecoveryPolicy(
+                    strategy="rollback", checkpoint_interval=4))))
+            assert result.converged
+            assert result.info["distributed"]["deaths"] == 1
+        elif end == "hang":
+            with pytest.raises(ShardDeathError):
+                self.solve(matrix, b, hang_plan=[(2, 1)], round_timeout=1.0)
+        else:
+            # Pickles fine, but no shard can be built from it.
+            bogus = SimpleNamespace(enabled=True, recovery=None)
+            with pytest.raises(RuntimeError, match="start-up failed"):
+                self.solve(matrix, b, protection=bogus)
+        assert parked_pool() is None
+        assert self.solve(matrix, b).info["distributed"]["spawned"] == 2
+
+    def test_concurrent_solves_converge_and_park_one_pool(self):
+        matrix, b = make_system(grid=6)
+        reference = cg_solve(matrix, b, eps=1e-18)
+        self.solve(matrix, b)  # one thread takes it, the other boots cold
+        results = [None, None]
+
+        def run(slot):
+            results[slot] = self.solve(matrix, b)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        for result in results:
+            assert result is not None and result.converged
+            assert np.max(np.abs(result.x - reference.x)) < PARITY_TOL
+        np.testing.assert_array_equal(results[0].x, results[1].x)
+        shards = [child for child in multiprocessing.active_children()
+                  if child.name.startswith("repro-dist-shard")]
+        assert len(shards) == 2  # the parked pool's; the other was shut down
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_interpreter_exit_leaves_no_shard(self, tmp_path):
+        script = tmp_path / "two_solves.py"
+        script.write_text(TWO_SOLVES)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        spawned, pids = json.loads(done.stdout.splitlines()[-1])
+        assert spawned == [2, 0]
+        assert len(pids) == 2
+        assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
 
 
 # ---------------------------------------------------------------------------
