@@ -79,6 +79,37 @@ _BOOT_TIMEOUT = DEFAULT_ROUND_TIMEOUT
 _STARTED = "started"
 
 
+#: Thread-pool sizes a shard worker starts with pinned to 1 unless the
+#: caller set them.  Each shard is one process's share of the solve;
+#: shards that each start a multi-threaded BLAS oversubscribe the cores
+#: (see docs/distributed.md for the measured cost).
+_PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Serialises the environment swap around a worker's start.
+_ENV_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _worker_environment():
+    """``os.environ`` as a shard worker inherits it, for one ``start()``.
+
+    A spawned child's environment is fixed when ``Process.start()``
+    execs it, so the thread-pool pins of :data:`_PINNED_THREADS` are set
+    only around that call and removed again: the parent's environment
+    is unchanged afterwards, and a value the caller set is passed on
+    as it is.
+    """
+    with _ENV_LOCK:
+        added = [name for name in _PINNED_THREADS if name not in os.environ]
+        for name in added:
+            os.environ[name] = "1"
+        try:
+            yield
+        finally:
+            for name in added:
+                os.environ.pop(name, None)
+
+
 def _run_shard(runner, conn) -> None:
     """Spawned-process entry: announce start-up, then run the worker.
 
@@ -98,7 +129,9 @@ class ShardLink:
     The process starts with its pipe end only and announces itself on
     it; the pool then hands it the start-up payload as the first message
     (see :meth:`ShardPool._boot`).  The process is daemonic: a worker
-    left idle in a parked pool must not hold up interpreter exit.
+    left idle in a parked pool must not hold up interpreter exit.  It
+    starts with single-threaded BLAS/OpenMP pools unless the caller's
+    environment sizes them (see :func:`_worker_environment`).
     """
 
     def __init__(self, index: int, runner: str, ctx):
@@ -110,7 +143,8 @@ class ShardLink:
             name=f"repro-dist-shard-{index}",
             daemon=True,
         )
-        self.process.start()
+        with _worker_environment():
+            self.process.start()
         # The parent must drop its handle on the child end or EOF on the
         # pipe can never be observed after the worker dies.
         child_conn.close()

@@ -37,10 +37,12 @@ overall parity of ``r``  syndrome ``s``        verdict
 0                        nonzero               double flip → uncorrectable
 ======================  =========================================
 
-All hot paths are vectorised: a check of ``N`` codewords costs
-``m + 1`` mask/popcount passes over an ``(N, L)`` uint64 array.  The
-passes themselves are the chunk kernels of :mod:`repro.ecc.secded_kernels`,
-run through the code's persistent
+All hot paths are vectorised.  The ``m`` syndrome masks and the
+overall-parity mask are stacked into one ``(m + 1, L)`` block of check
+rows, and a check computes every syndrome bit and the parity of a block
+of codewords in one pass over an ``(N, L)`` uint64 array: ``3L + 1``
+NumPy calls per block, whatever ``m`` is.  The passes are the kernels
+of :mod:`repro.ecc.secded_kernels`, run through the code's persistent
 :class:`~repro.ecc.secded_kernels.SyndromeScratch`, cache-blocked and
 ``out=``-threaded so a full check allocates no temporary proportional
 to the codeword count; :meth:`SECDEDCode.scan` is the clean-path screen
@@ -162,6 +164,11 @@ class SECDEDCode(LaneCode):
         for p, col in zip(self.data_positions, columns):
             table[col] = p
         self._decode_table = table
+
+        # The stacked check rows: the m syndrome masks, then the
+        # overall-parity mask — one (m + 1, L) block the kernels run
+        # every syndrome through in a single pass.
+        self._check_rows = np.vstack([self._full_masks, self._all_mask[None, :]])
 
         #: Persistent chunk buffers for the SECDED kernels.  Codes are
         #: process-wide singletons (see repro.ecc.profiles), so this is

@@ -1,22 +1,37 @@
 """Cache-blocked, ``out=``-threaded SECDED kernels over lane-packed codewords.
 
-The original SECDED hot path computed every syndrome bit with
-``parity64(np.bitwise_xor.reduce(lanes & mask, axis=-1))`` — each of the
-``m + 1`` passes allocated an ``(N, L)`` masked temporary plus two
-``(N,)`` reductions and streamed the whole lane array from DRAM again.
-These kernels run the same mathematics chunk-by-chunk: a block of
-codewords is pulled through the cache once and all ``m + 1``
-mask/fold/popcount passes run over it with every intermediate landing in
-the code's persistent :class:`SyndromeScratch`.  No temporary
-proportional to the codeword count is ever allocated.
+Every syndrome is one *stacked* pass.  A code's ``m`` syndrome masks and
+its overall-parity mask form one ``(m + 1, L)`` block of check rows
+(``SECDEDCode._check_rows``).  A block of ``n`` codewords is syndromed by
+broadcasting each lane down the ``m + 1`` rows, masking it with that
+lane's rows, XOR-folding the lanes and taking one popcount parity: a
+``(m + 1, n)`` bit block from ``3L + 1`` NumPy calls, whatever ``m`` is
+(:func:`_stacked_bits`).  Bit ``(j, i)`` is still the parity of
+``word_i & mask_j``; only the call count changed — the per-bit passes
+this replaced paid about ``m(2L + 4) + 2L + 2`` calls (62 for a
+two-lane code), a fixed cost that dominated every check of a small
+structure.
 
-The clean-path screens go one step further: because syndromes are
-GF(2)-linear, a chunk can be XOR-reduced over a ``(rows, 32)`` grid and
-only the ``rows + 32`` aggregate codewords syndromed (two reduction
-passes plus ~3% of the per-element mask work).  An intact chunk never
-fires the screen; a chunk that fires for any reason falls back to the
-exact per-element passes.  The screen is not exact: see
-:func:`_chunk_screen` for the precise detection bound.
+A screen's aggregates are one stacked block, the exact path runs a
+chunk in quarter-chunk blocks, and every ufunc operand is a contiguous
+``(m + 1, n)`` view of the code's persistent :class:`SyndromeScratch`.
+That is what keeps the pass allocation-free: a broadcast or strided
+operand sends NumPy through its buffered iterator, which allocates a
+bounce buffer of up to 64 KiB per call.  The broadcasts happen in
+``np.copyto``, which never buffers.  No temporary proportional to the
+codeword count is ever allocated.
+
+The clean-path screens run the pass over far fewer codewords: because
+syndromes are GF(2)-linear, a chunk can be XOR-reduced over a
+``(rows, 32)`` grid and only the ``rows + 32`` aggregate codewords
+syndromed (two reduction passes plus one stacked block).  An intact
+chunk never fires the screen; a chunk that fires for any reason falls
+back to the exact per-element pass, block by block.  The screen is not
+exact: see :func:`_chunk_screen` for the precise detection bound.
+
+:func:`encode` keeps one mask/fold/popcount pass per check bit over
+whole chunks: stacked, it is faster on small arrays but slower on large
+ones, where the ``m + 1`` fold streams no longer fit in cache.
 
 Every kernel receives the bound :class:`~repro.ecc.hamming.SECDEDCode`
 (for its masks, slots and persistent scratch) plus an ``(N, L)`` uint64
@@ -25,31 +40,44 @@ lane array.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 #: Codewords per cache block.  16384 codewords of two uint64 lanes is
 #: 256 KiB — the chunk plus its scratch stays resident in L2 while the
-#: ~m+1 mask/fold/popcount passes run over it.
+#: encode's ~m+1 mask/fold/popcount passes run over it.
 CHUNK = 16384
+
+#: Codewords per stacked-syndrome block on the exact path, which runs
+#: a chunk as four blocks.  Blocks of only a screen's width (at most
+#: ``CHUNK // 32 + 63`` aggregates) made the exact pass 1.6-2.6x slower
+#: — the per-call cost is paid once per block — and larger ones were
+#: no faster.
+_BLOCK = CHUNK // 4
 
 
 class SyndromeScratch:
-    """Preallocated chunk buffers for the fused syndrome/encode passes.
+    """Preallocated buffers for the stacked syndrome and per-bit encode passes.
 
     One instance lives on each :class:`~repro.ecc.hamming.SECDEDCode`
     (those are process-wide singletons, see :mod:`repro.ecc.profiles`),
     so the buffers are allocated once per code and reused by every check
-    of every protected structure bound to that code.  Not thread-safe —
-    neither is the rest of the protection stack.
+    of every protected structure bound to that code.  The encode and
+    screen buffers are chunk-sized.  The stacked pass's buffers grow to
+    the widest block it has run at — ``m + 1`` rows by a screen's
+    aggregates, or by :data:`_BLOCK` codewords once the exact path has
+    run — so a process that only ever screens clean structures never
+    holds the exact path's wider blocks.  Not thread-safe — neither is
+    the rest of the protection stack.
     """
 
     def __init__(self, chunk: int = CHUNK):
         self.chunk = int(chunk)
+        # Encode's per-bit fold and parity.
         self.fold = np.empty(self.chunk, dtype=np.uint64)
         self.tmp = np.empty(self.chunk, dtype=np.uint64)
         self.pc8 = np.empty(self.chunk, dtype=np.uint8)
-        self.pc16 = np.empty(self.chunk, dtype=np.uint16)
-        self.syn = np.empty(self.chunk, dtype=np.uint16)
         # Fused verify-in-SpMV scratch: the widened colidx lane under
         # syndrome/decode for one chunk.
         self.lane = np.empty(self.chunk, dtype=np.uint64)
@@ -57,45 +85,88 @@ class SyndromeScratch:
         # one chunk (see _chunk_screen).  Sized for a chunk reduced over
         # 32 columns plus the tail, at up to 8 lanes.
         self.screen = np.empty((self.chunk // 32 + 64) * 8, dtype=np.uint64)
+        # Stacked-pass scratch: flat buffers viewed as contiguous
+        # (m + 1, n) blocks (see _stacked_views).
+        self._grow(0, 0)
+
+    def _grow(self, n_lanes: int, size: int) -> None:
+        """(Re)allocate the stacked-pass buffers for ``size`` entries each."""
+        self.acc = np.empty(size, dtype=np.uint64)
+        self.word = np.empty(size, dtype=np.uint64)
+        self.bits = np.empty(size, dtype=np.uint8)
+        self.wide = np.empty(size, dtype=np.uint16)
+        self.shifts = np.empty(size, dtype=np.uint16)
+        self.masks = np.empty((n_lanes, size), dtype=np.uint64)
+        #: The block views of the last width the pass ran at.
+        self.views = None
 
 
-def _fold_masked(chunk, masks, n, scratch):
-    """XOR-fold ``chunk & masks`` across lanes into ``scratch.fold[:n]``."""
-    fold = scratch.fold[:n]
-    np.bitwise_and(chunk[:, 0], masks[0], out=fold)
-    for lane in range(1, chunk.shape[1]):
-        tmp = scratch.tmp[:n]
-        np.bitwise_and(chunk[:, lane], masks[lane], out=tmp)
-        np.bitwise_xor(fold, tmp, out=fold)
-    return fold
+class _StackedViews(NamedTuple):
+    """A :class:`SyndromeScratch`'s buffers as ``(m + 1, n)`` blocks."""
+
+    n: int
+    acc: np.ndarray
+    word: np.ndarray
+    bits: np.ndarray
+    wide: np.ndarray     # (m, n): syndrome rows widened for packing
+    shifts: np.ndarray   # (m, n): row j holds j
+    masks: tuple         # per lane: its check rows tiled across n
 
 
-def _parity_of_fold(fold, n, scratch):
-    """Per-element parity of ``fold`` into ``scratch.pc8[:n]``."""
-    pc = scratch.pc8[:n]
-    np.bitwise_count(fold, out=pc)
-    np.bitwise_and(pc, np.uint8(1), out=pc)
-    return pc
+def _stacked_views(code, n, scratch) -> _StackedViews:
+    """The pass's scratch views at width ``n``, rebuilt when ``n`` changes.
 
-
-def _chunk_syndrome(code, chunk, n, scratch):
-    """Syndrome (into ``scratch.syn[:n]``) and parity (``scratch.pc8[:n]``).
-
-    The parity pass runs last so ``scratch.pc8`` still holds the overall
-    parity when this returns.
+    A rebuild grows the buffers if ``n`` is wider than any block before,
+    then tiles each lane's check rows (and each syndrome row's shift)
+    across ``n`` codewords.  A structure's repeated screens and the
+    exact path's full blocks keep hitting the width they last used.
     """
-    syn = scratch.syn[:n]
-    syn[:] = 0
-    for j in range(code.n_syndrome_bits):
-        fold = _fold_masked(chunk, code._full_masks[j], n, scratch)
-        pc = _parity_of_fold(fold, n, scratch)
-        p16 = scratch.pc16[:n]
-        np.copyto(p16, pc, casting="unsafe")
-        np.left_shift(p16, np.uint16(j), out=p16)
-        np.bitwise_or(syn, p16, out=syn)
-    fold = _fold_masked(chunk, code._all_mask, n, scratch)
-    pc = _parity_of_fold(fold, n, scratch)
-    return syn, pc
+    views = scratch.views
+    if views is not None and views.n == n:
+        return views
+    rows = code._check_rows.shape[0]
+    if rows * n > scratch.acc.size:
+        scratch._grow(code.n_lanes, rows * n)
+
+    def block(buf, k=rows):
+        return buf[: k * n].reshape(k, n)
+
+    shifts = block(scratch.shifts, rows - 1)
+    np.copyto(shifts, np.arange(rows - 1, dtype=np.uint16)[:, None])
+    masks = tuple(block(tile) for tile in scratch.masks)
+    for lane, tile in enumerate(masks):
+        np.copyto(tile, code._check_rows[:, lane, None])
+    scratch.views = _StackedViews(
+        n, block(scratch.acc), block(scratch.word), block(scratch.bits),
+        block(scratch.wide, rows - 1), shifts, masks,
+    )
+    return scratch.views
+
+
+def _stacked_bits(code, block, n, scratch):
+    """Every check-row parity of an ``(n, L)`` lane block, in one pass.
+
+    Returns a ``(m + 1, n)`` uint8 view of ``scratch.bits``: row ``j < m``
+    holds syndrome bit ``j`` of each codeword, row ``m`` its overall
+    parity.
+    """
+    v = _stacked_views(code, n, scratch)
+    acc, word = v.acc, v.word
+    for lane, masks in enumerate(v.masks):
+        dst = word if lane else acc
+        np.copyto(dst, block[:, lane])  # the lane, broadcast down the rows
+        np.bitwise_and(dst, masks, out=dst)
+        if lane:
+            np.bitwise_xor(acc, word, out=acc)
+    np.bitwise_count(acc, out=v.bits)
+    np.bitwise_and(v.bits, np.uint8(1), out=v.bits)
+    return v.bits
+
+
+def _block_bounds(n_total: int, step: int):
+    """``(lo, hi)`` windows of at most ``step`` codewords covering ``n_total``."""
+    for lo in range(0, n_total, step):
+        yield lo, min(lo + step, n_total)
 
 
 #: Columns of the aggregate-screen grid.  A chunk is viewed as a
@@ -114,8 +185,7 @@ def _screen_shape(n: int) -> tuple[int, int, int]:
 
 def _screen_clean(code, agg, k, scratch) -> bool:
     """True when every aggregate codeword has zero syndrome and parity."""
-    syn, pc = _chunk_syndrome(code, agg, k, scratch)
-    return not (int(np.count_nonzero(syn)) or int(np.count_nonzero(pc)))
+    return not np.count_nonzero(_stacked_bits(code, agg, k, scratch))
 
 
 def _screen_lane(lane1d, rows, agg_col, scratch):
@@ -204,15 +274,21 @@ def _chunk_screen_split(code, a, b, n, scratch) -> bool:
 
 
 def syndrome_into(code, lanes, syn, parity) -> None:
-    """Fill ``syn`` (uint16) and ``parity`` (uint8) per codeword."""
+    """Fill ``syn`` (uint16) and ``parity`` (uint8) per codeword.
+
+    Block by block, the stacked rows are packed back into words:
+    syndrome row ``j`` is widened, shifted left by ``j`` and OR-reduced
+    into ``syn``; the last row is the overall parity.
+    """
     scratch = code.scratch
-    n_total = lanes.shape[0]
-    for lo in range(0, n_total, scratch.chunk):
-        hi = min(lo + scratch.chunk, n_total)
-        n = hi - lo
-        syn_c, pc = _chunk_syndrome(code, lanes[lo:hi], n, scratch)
-        syn[lo:hi] = syn_c
-        parity[lo:hi] = pc
+    m = code.n_syndrome_bits
+    for lo, hi in _block_bounds(lanes.shape[0], _BLOCK):
+        bits = _stacked_bits(code, lanes[lo:hi], hi - lo, scratch)
+        v = scratch.views  # the block views that pass ran on
+        np.copyto(v.wide, bits[:m])
+        np.left_shift(v.wide, v.shifts, out=v.wide)
+        np.bitwise_or.reduce(v.wide, axis=0, out=syn[lo:hi])
+        np.copyto(parity[lo:hi], bits[m])
 
 
 def scan(code, lanes) -> int:
@@ -223,33 +299,50 @@ def scan(code, lanes) -> int:
     compute over the persistent buffers.
     """
     scratch = code.scratch
-    n_total = lanes.shape[0]
     bad = 0
-    for lo in range(0, n_total, scratch.chunk):
-        hi = min(lo + scratch.chunk, n_total)
-        n = hi - lo
+    for lo, hi in _block_bounds(lanes.shape[0], scratch.chunk):
         # Clean chunks (the overwhelmingly common case) are fully
         # screened by their grid aggregates; only a chunk that fires
-        # pays the per-element syndrome passes for the exact count.
-        if _chunk_screen(code, lanes[lo:hi], n, scratch):
+        # pays the per-element pass for the exact count.
+        if _chunk_screen(code, lanes[lo:hi], hi - lo, scratch):
             continue
-        syn_c, pc = _chunk_syndrome(code, lanes[lo:hi], n, scratch)
-        # Fold the overall parity into the syndrome word so one
-        # count_nonzero sees both corruption signals.
-        p16 = scratch.pc16[:n]
-        np.copyto(p16, pc, casting="unsafe")
-        np.left_shift(p16, np.uint16(15), out=p16)
-        np.bitwise_or(syn_c, p16, out=syn_c)
-        bad += int(np.count_nonzero(syn_c))
+        for blo, bhi in _block_bounds(hi - lo, _BLOCK):
+            n = bhi - blo
+            bits = _stacked_bits(code, lanes[lo + blo : lo + bhi], n, scratch)
+            # A codeword is corrupted when any of its rows is set.
+            flags = scratch.pc8[:n]
+            np.bitwise_or.reduce(bits, axis=0, out=flags)
+            bad += int(np.count_nonzero(flags))
     return bad
 
 
+def _fold_masked(chunk, masks, n, scratch):
+    """XOR-fold ``chunk & masks`` across lanes into ``scratch.fold[:n]``."""
+    fold = scratch.fold[:n]
+    np.bitwise_and(chunk[:, 0], masks[0], out=fold)
+    for lane in range(1, chunk.shape[1]):
+        tmp = scratch.tmp[:n]
+        np.bitwise_and(chunk[:, lane], masks[lane], out=tmp)
+        np.bitwise_xor(fold, tmp, out=fold)
+    return fold
+
+
+def _parity_of_fold(fold, n, scratch):
+    """Per-element parity of ``fold`` into ``scratch.pc8[:n]``."""
+    pc = scratch.pc8[:n]
+    np.bitwise_count(fold, out=pc)
+    np.bitwise_and(pc, np.uint8(1), out=pc)
+    return pc
+
+
 def encode(code, lanes) -> None:
-    """Recompute the redundancy slots of every codeword in place."""
+    """Recompute the redundancy slots of every codeword in place.
+
+    One mask/fold/popcount pass per check bit over whole chunks (see the
+    module docstring for why encode is not stacked).
+    """
     scratch = code.scratch
-    n_total = lanes.shape[0]
-    for lo in range(0, n_total, scratch.chunk):
-        hi = min(lo + scratch.chunk, n_total)
+    for lo, hi in _block_bounds(lanes.shape[0], scratch.chunk):
         n = hi - lo
         chunk = lanes[lo:hi]
         np.bitwise_and(chunk, ~code._check_mask, out=chunk)

@@ -122,9 +122,11 @@ class ProtectedCSRMatrix:
         self._col64: np.ndarray | None = None
         self._ptr64: np.ndarray | None = None
         self._ptr_diff: np.ndarray | None = None
-        # The product's row plan, derived from the snapshot's row
-        # pointer each time that is (re)populated.
+        # The product's row plan and a copy of the stored row pointer it
+        # was derived from; a (re)population re-derives it only when the
+        # stored row pointer changed.
         self._plan = None
+        self._plan_raw: np.ndarray | None = None
         self._views_valid = False
         self._diagonal: np.ndarray | None = None
         # Persistent SpMV gather scratch, one row block per leading
@@ -268,6 +270,7 @@ class ProtectedCSRMatrix:
             self._col64 = np.empty(self.nnz, dtype=np.int64)
             self._ptr64 = np.empty(self.rowptr_protected.raw.size, dtype=np.int64)
             self._ptr_diff = np.empty(max(self._ptr64.size - 1, 0), dtype=np.int64)
+            self._plan_raw = np.empty_like(self.rowptr_protected.raw)
 
     def _validate_rowptr(self) -> None:
         """Range and monotonicity check of the decoded row pointer."""
@@ -280,8 +283,20 @@ class ProtectedCSRMatrix:
                 raise BoundsViolationError("row_pointer")
 
     def _plan_rows(self) -> None:
-        """Derive the product's row plan from the validated row pointer."""
+        """Derive the product's row plan from the validated row pointer.
+
+        Every due product refills ``_ptr64`` from verified storage, which
+        almost always leaves the stored row pointer exactly as it was
+        when the current plan was derived: the plan is re-derived only
+        when it is not.  The comparison is on the stored words, half the
+        size of ``_ptr64``; they decode deterministically, so equal
+        storage means an equal decoded row pointer.
+        """
+        raw = self.rowptr_protected.raw
+        if self._plan is not None and np.array_equal(raw, self._plan_raw):
+            return
         self._plan = _row_blocks(self._ptr64, self.nnz, self._ptr_diff)
+        np.copyto(self._plan_raw, raw)
 
     def _validate_snapshot(self) -> None:
         """The once-per-population range check guarding the snapshot."""
@@ -377,10 +392,11 @@ class ProtectedCSRMatrix:
         product: one pass per cache-blocked chunk computes syndromes over
         the ``(value, index)`` lanes the product is about to consume and
         decodes and bounds-checks the clean indices into the index
-        snapshot (re-deriving the row plan from the freshly verified row
-        pointer).  Chunks that screen dirty detour through the
-        container's correcting cold path, which refills their slice of
-        the snapshot from corrected storage; an uncorrectable codeword
+        snapshot (re-deriving the row plan only if the freshly verified
+        row pointer differs from the one it was built from).  Chunks
+        that screen dirty detour through the container's correcting
+        cold path, which refills their slice of the snapshot from
+        corrected storage; an uncorrectable codeword
         yields ``y is None`` with the failure in the report (the engine
         raises on it).  Once every chunk has passed, the product is
         :meth:`matvec_unchecked` through the snapshot just validated — the

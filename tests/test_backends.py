@@ -130,6 +130,28 @@ class TestAllocationFreeChecks:
         assert pmat.nnz > 10_000  # the bound below must be meaningful
         assert peak < nnz_bytes / 8
 
+    def test_warm_stacked_checks_allocate_no_bounce_buffers(self):
+        """A warm vector check and a warm row-pointer check stay small.
+
+        The stacked syndrome pass broadcasts only through ``np.copyto``;
+        a ufunc handed a broadcast or strided operand would allocate a
+        bounce buffer per call, several kilobytes even at these sizes.
+        """
+        n = 2304
+        vec = ProtectedVector(np.linspace(0.0, 1.0, n), "secded64")
+        pmat = ProtectedCSRMatrix(make_matrix(n=48), "secded64", "secded64")
+        assert pmat.rowptr.size == n + 1
+        for check in (vec.check, pmat.rowptr_protected.check):
+            check()
+            check()
+            tracemalloc.start()
+            for _ in range(3):
+                report = check()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert report.ok
+            assert peak < n * 8 / 2, f"peak {peak} bytes"
+
     def test_clean_vector_check_is_compact(self):
         vec = ProtectedVector(np.linspace(0.0, 1.0, 1024), "secded64")
         report = vec.check(correct=False)

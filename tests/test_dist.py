@@ -925,6 +925,34 @@ class TestWarmPool:
         assert len(pids) == 2
         assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_workers_start_with_single_threaded_pools(self, monkeypatch, preset):
+        """Each worker's thread pools are pinned to 1 unless the caller
+        sized them, and the parent's environment is left as it was."""
+        pinned = exchange._PINNED_THREADS
+        for name in pinned:
+            if preset is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, preset)
+        before = dict(os.environ)
+        matrix, b = make_system(grid=6)
+        assert self.solve(matrix, b).info["distributed"]["spawned"] == 2
+        assert dict(os.environ) == before
+        try:
+            links = parked_pool().links
+            assert len(links) == 2
+            for link in links:
+                assert link.alive()
+                with open(f"/proc/{link.process.pid}/environ", "rb") as f:
+                    entries = f.read().split(b"\0")
+                env = dict(e.decode().split("=", 1) for e in entries if b"=" in e)
+                for name in pinned:
+                    assert env[name] == (preset or "1"), name
+        finally:
+            drop_parked_pool()
+
 
 # ---------------------------------------------------------------------------
 class TestShardDeathCampaign:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.bits.float_bits import f64_to_u64
 from repro.csr import five_point_operator
+from repro.csr.matrix import CSRMatrix
+from repro.csr.spmv import _row_blocks
 from repro.errors import BoundsViolationError, DetectedUncorrectableError
 from repro.protect import (
     CheckPolicy,
@@ -14,6 +16,7 @@ from repro.protect import (
     ProtectedCSRMatrix,
     ProtectedVector,
 )
+from repro.protect import matrix as matrix_module
 
 ELEMENT = ["sed", "secded64", "secded128", "crc32c"]
 ROWPTR = ["sed", "secded64", "secded128", "crc32c"]
@@ -206,3 +209,63 @@ class TestKernels:
         assert np.array_equal(pb.values(), np.full(8, 2.0))
         with pytest.raises(DetectedUncorrectableError):
             engine.begin_iteration()
+
+
+def regrouped(matrix):
+    """``matrix`` with rows 3 and 4 regrouped: same arrays and nnz, but
+    the first entry of row 4 moves to the end of row 3."""
+    rowptr = matrix.rowptr.copy()
+    rowptr[4] += 1
+    return CSRMatrix(matrix.values.copy(), matrix.colidx.copy(), rowptr, matrix.shape)
+
+
+class TestRowPlanReuse:
+    """A due product re-derives the row plan only when the row pointer moved."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return _row_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(matrix_module, "_row_blocks", counting)
+        return calls
+
+    def test_repeated_due_products_derive_the_plan_once(self, plans):
+        pmat = ProtectedCSRMatrix(make_matrix(), "secded64", "secded64")
+        x = np.random.default_rng(2).standard_normal(pmat.n_cols)
+        for _ in range(4):
+            y, reports = pmat.spmv_verified(x)
+            assert all(r.ok for r in reports.values())
+        pmat.check_all()
+        pmat.invalidate_clean_views()
+        pmat.matvec_unchecked(x)
+        assert len(plans) == 1
+
+    def test_reencode_with_a_new_row_pointer_rederives(self, plans):
+        source = make_matrix()
+        other = regrouped(source)
+        assert other.nnz == source.nnz
+        assert not np.array_equal(other.rowptr, source.rowptr)
+        pmat = ProtectedCSRMatrix(source, "secded64", "secded64")
+        x = np.random.default_rng(3).standard_normal(pmat.n_cols)
+        pmat.spmv_verified(x)
+        pmat.reencode_from(other)
+        y, _ = pmat.spmv_verified(x)
+        assert len(plans) == 2
+        fresh, _ = ProtectedCSRMatrix(other, "secded64", "secded64").spmv_verified(x)
+        assert y.tobytes() == fresh.tobytes()
+        assert y.tobytes() == other.matvec(x).tobytes()
+
+    def test_corrected_row_pointer_flip_keeps_the_clean_product(self, plans):
+        pmat = ProtectedCSRMatrix(make_matrix(), "secded64", "secded64")
+        x = np.random.default_rng(4).standard_normal(pmat.n_cols)
+        clean, _ = pmat.spmv_verified(x)
+        clean = clean.copy()
+        pmat.rowptr[7] ^= np.uint32(1 << 2)
+        y, reports = pmat.spmv_verified(x)
+        assert reports["row_pointer"].n_corrected == 1
+        assert y.tobytes() == clean.tobytes()
+        assert len(plans) == 1
